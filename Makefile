@@ -98,11 +98,12 @@ wheel-smoke:
 check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke shard-smoke snapshot-smoke wheel-smoke perf-sanity
 
 # Wall-clock benchmark baseline, committed as BENCH_sim.json so engine
-# or harness regressions show up as a diff. Two tiers: the engine
-# micro-benchmarks run at the default benchtime (they are the ns/op +
-# allocs/op numbers the fast path is judged on); the end-to-end
-# experiment benchmarks (MAB, difftest serial-vs-parallel, crash
-# serial-vs-parallel) each run their full campaign once, -benchtime=1x.
+# or harness regressions show up as a diff. Two tiers: the engine, XN
+# dirty-path and disk C-SCAN micro-benchmarks run at the default
+# benchtime (they are the ns/op + allocs/op numbers the fast paths are
+# judged on); the end-to-end experiment benchmarks (MAB, a Figure 4
+# cell, difftest serial-vs-parallel, crash serial-vs-parallel) each run
+# their full campaign once, -benchtime=1x.
 # Raw `go test` output passes through on stderr; stdout carries the
 # JSON (see cmd/benchjson). The -expect list makes a silently vanished
 # benchmark (renamed, paniced, filtered out) fail the run instead of
@@ -112,7 +113,9 @@ BenchmarkEngineStepAfterArg16,BenchmarkEngineStepAfterArg1024,\
 BenchmarkEngineScheduleCancel,BenchmarkEngineScheduleCancelWheel,\
 BenchmarkEngineTimersHeap65536,BenchmarkEngineTimersWheel65536,\
 BenchmarkEngineTimersHeap1M,BenchmarkEngineTimersWheel1M,\
+BenchmarkXNMarkDirtyInFlight512,BenchmarkDiskPickDeepQueue,\
 BenchmarkMAB/Xok-ExOS,BenchmarkMAB/FreeBSD,\
+BenchmarkFigure4_GlobalPool1/Xok-ExOS,BenchmarkFigure4_GlobalPool1/FreeBSD,\
 BenchmarkDifftest100Serial,BenchmarkDifftest100Parallel4,\
 BenchmarkDifftest100SnapshotSerial,BenchmarkDifftest100SnapshotParallel4,\
 BenchmarkCrashSweepSerial,BenchmarkCrashSweepParallel4,\
@@ -122,6 +125,7 @@ BenchmarkClusterConns100k,BenchmarkClusterConns100kNoWheel
 
 bench:
 	@{ $(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/sim/ && \
-	   $(GO) test -run '^$$' -bench 'BenchmarkMAB$$|BenchmarkDifftest100|BenchmarkCrashSweep|BenchmarkCluster' -benchmem -benchtime=1x . ; } \
+	   $(GO) test -run '^$$' -bench 'BenchmarkXNMarkDirtyInFlight512|BenchmarkDiskPickDeepQueue' -benchmem ./internal/xn/ ./internal/disk/ && \
+	   $(GO) test -run '^$$' -bench 'BenchmarkMAB$$|BenchmarkFigure4_GlobalPool1$$|BenchmarkDifftest100|BenchmarkCrashSweep|BenchmarkCluster' -benchmem -benchtime=1x . ; } \
 	  | $(GO) run ./cmd/benchjson -expect '$(BENCH_EXPECT)' > BENCH_sim.json
 	@echo "wrote BENCH_sim.json"

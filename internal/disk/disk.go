@@ -24,7 +24,6 @@ package disk
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 
 	"xok/internal/bufpool"
@@ -204,6 +203,9 @@ func (d *Disk) spindleOf(b BlockNo) int {
 // contiguous within each one).
 func (d *Disk) physOf(b BlockNo) BlockNo {
 	n := int64(len(d.spindles))
+	if n == 1 {
+		return b // C-SCAN calls this per queued request on every pick
+	}
 	return BlockNo((int64(b)/(d.stripeUnit*n))*d.stripeUnit + int64(b)%d.stripeUnit)
 }
 
@@ -302,13 +304,15 @@ func (d *Disk) split(r *Request) []*Request {
 
 // pickNext removes and returns the CSCAN-next request for a spindle:
 // the lowest start position at or beyond the head, wrapping to the
-// lowest overall. The head lives in spindle-local *physical* space
-// (complete sets it via physOf), so the elevator must sort and compare
-// physical positions too — logical block numbers interleave across
-// spindles and are ~n times larger than any physical position, which
-// on a striped set made the old logical-space comparison pick requests
-// behind the head and break sequential runs. (Single-spindle disks
-// were unaffected only because physOf is the identity there.)
+// lowest overall, ties going to the earliest arrival. The queue stays
+// in arrival order and one linear pass finds both candidates. The head
+// lives in spindle-local *physical* space (complete sets it via
+// physOf), so the elevator must compare physical positions too —
+// logical block numbers interleave across spindles and are ~n times
+// larger than any physical position, which on a striped set made the
+// old logical-space comparison pick requests behind the head and break
+// sequential runs. (Single-spindle disks were unaffected only because
+// physOf is the identity there.)
 func (d *Disk) pickNext(sp *spindle) *Request {
 	if len(sp.queue) == 0 {
 		return nil
@@ -318,18 +322,19 @@ func (d *Disk) pickNext(sp *spindle) *Request {
 		sp.queue = sp.queue[1:]
 		return r
 	}
-	sort.SliceStable(sp.queue, func(i, j int) bool {
-		return d.physOf(sp.queue[i].Block) < d.physOf(sp.queue[j].Block)
-	})
-	idx := -1
+	idx, lowest := -1, 0
+	var idxPos, lowPos BlockNo
 	for i, r := range sp.queue {
-		if d.physOf(r.Block) >= sp.head {
-			idx = i
-			break
+		p := d.physOf(r.Block)
+		if i == 0 || p < lowPos {
+			lowest, lowPos = i, p
+		}
+		if p >= sp.head && (idx == -1 || p < idxPos) {
+			idx, idxPos = i, p
 		}
 	}
 	if idx == -1 {
-		idx = 0 // wrap
+		idx = lowest // wrap
 	}
 	r := sp.queue[idx]
 	sp.queue = append(sp.queue[:idx], sp.queue[idx+1:]...)

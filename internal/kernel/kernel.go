@@ -101,6 +101,7 @@ type Kernel struct {
 
 	dispatchPending bool
 	parkCh          chan parkMsg
+	inEnv           bool // the current environment's goroutine holds the token
 	liveEnvs        int
 
 	regions    map[RegionID]*region
@@ -414,8 +415,10 @@ func burnGrantArg(a any) {
 // resume hands the token to e's goroutine and processes the park
 // message it eventually sends back.
 func (k *Kernel) resume(e *Env) {
+	k.inEnv = true
 	e.resume <- true
 	msg := <-k.parkCh
+	k.inEnv = false
 	k.handlePark(msg)
 }
 
@@ -484,13 +487,20 @@ func (k *Kernel) Crash(at sim.Time) disk.Image {
 }
 
 // Shutdown kills every live environment goroutine. Call when a test or
-// benchmark finishes with environments still blocked.
+// benchmark finishes with environments still blocked, or when a crash
+// cuts power mid-burst: the running environment is then parked in
+// Env.Use and dies with the rest. Only an environment calling Shutdown
+// from its own code survives it, since it holds the token.
 func (k *Kernel) Shutdown() {
 	for _, e := range k.envs {
-		if e.state != envDead && e.state != envRunning {
-			e.state = envDead
-			e.resume <- false
+		if e.state == envDead || (e == k.current && k.inEnv) {
+			continue
 		}
+		if e == k.current {
+			k.current = nil // a pending burn for e now finds it gone
+		}
+		e.state = envDead
+		e.resume <- false
 	}
 }
 

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"testing"
+	"time"
 
 	"xok/internal/cap"
 	"xok/internal/sim"
@@ -395,6 +396,35 @@ func TestShutdownKillsBlockedEnvs(t *testing.T) {
 		t.Fatalf("live = %d, want 1 blocked env", k.LiveEnvs())
 	}
 	k.Shutdown()
+}
+
+// TestShutdownKillsEnvMidBurst: power cut while the running env burns
+// a long Use — its goroutine is parked on the token and must die too.
+func TestShutdownKillsEnvMidBurst(t *testing.T) {
+	k := newXok()
+	exited := make(chan struct{})
+	k.Spawn("burner", func(e *Env) {
+		defer close(exited)
+		e.Use(1_000_000)
+		t.Error("burner resumed after kill")
+	})
+	k.RunUntil(1000)
+	k.Shutdown()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("burning env's goroutine survived Shutdown")
+	}
+	k.Run() // the pending burn finds no current env and stops
+}
+
+// TestShutdownFromOwnEnv: an env may call Shutdown from its own code;
+// it holds the token, so it is skipped rather than deadlocking.
+func TestShutdownFromOwnEnv(t *testing.T) {
+	k := newXok()
+	k.Spawn("stuck", func(e *Env) { e.Block() })
+	k.Spawn("caller", func(e *Env) { k.Shutdown() })
+	k.Run()
 }
 
 func TestChargeInterruptStealsFromCurrent(t *testing.T) {

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"xok/internal/fault"
 )
@@ -123,5 +125,25 @@ func TestCrashSnapshotMatchesFromBoot(t *testing.T) {
 			t.Fatalf("snapshot parallel=%d: digest %#x boundaries %d points %d, from-boot digest %#x boundaries %d points %d",
 				workers, got.Digest, got.Boundaries, len(got.Points), ref.Digest, ref.Boundaries, len(ref.Points))
 		}
+	}
+}
+
+// TestCrashEnumerateReleasesGoroutines: a crash that cuts power while
+// an environment is mid-burst (parked in Env.Use, e.g. inside exos
+// Proc.Spawn) must still kill that environment, or its goroutine — and
+// with it the whole crashed machine — outlives the sweep.
+func TestCrashEnumerateReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	if _, err := CrashEnumerate(CrashConfig{Plan: &fault.Plan{Seed: 1, TornWrites: true}, Snapshot: true}); err != nil {
+		t.Fatal(err)
+	}
+	// Killed goroutines unwind asynchronously; give them a moment.
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > base; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after the sweep, %d before", n, base)
 	}
 }

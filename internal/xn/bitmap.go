@@ -1,5 +1,11 @@
 package xn
 
+import (
+	"math/bits"
+
+	"xok/internal/disk"
+)
+
 // bitmap is XN's free map: bit set = block free. LibFSes read it to
 // control their own layout; only XN writes it.
 type bitmap struct {
@@ -73,4 +79,69 @@ func (b *bitmap) findRun(hint, count int64) (int64, bool) {
 		return s, true
 	}
 	return check(0, hint+count) // wrap (overlap covers runs crossing hint)
+}
+
+// blockSet is an ordered set of block numbers: a bitmap plus a summary
+// level in which bit j of sum[i] is set iff words[64*i+j] != 0. An
+// ascending walk (next) reads the summary words and the words holding
+// members, so its cost follows the set's size rather than the volume's.
+// Both levels grow on demand: a set whose members sit low on a large
+// volume pays for the range it touched.
+type blockSet struct {
+	words []uint64
+	sum   []uint64
+}
+
+func (s *blockSet) add(b disk.BlockNo) {
+	w := int(b >> 6)
+	if w >= len(s.words) {
+		s.grow(w)
+	}
+	s.words[w] |= 1 << (uint(b) & 63)
+	s.sum[w>>6] |= 1 << (uint(w) & 63)
+}
+
+func (s *blockSet) remove(b disk.BlockNo) {
+	w := int(b >> 6)
+	if w >= len(s.words) {
+		return
+	}
+	s.words[w] &^= 1 << (uint(b) & 63)
+	if s.words[w] == 0 {
+		s.sum[w>>6] &^= 1 << (uint(w) & 63)
+	}
+}
+
+// grow makes word w addressable, at least doubling and keeping
+// len(words) a whole number of summary words.
+func (s *blockSet) grow(w int) {
+	n := (max(2*len(s.words), w+1) + 63) &^ 63
+	words := make([]uint64, n)
+	copy(words, s.words)
+	sum := make([]uint64, n/64)
+	copy(sum, s.sum)
+	s.words, s.sum = words, sum
+}
+
+// next returns the smallest member >= b, or -1 if there is none.
+func (s *blockSet) next(b disk.BlockNo) disk.BlockNo {
+	w := int(b >> 6)
+	if w >= len(s.words) {
+		return -1
+	}
+	if m := s.words[w] >> (uint(b) & 63); m != 0 {
+		return b + disk.BlockNo(bits.TrailingZeros64(m))
+	}
+	w++
+	for i := w >> 6; i < len(s.sum); i++ {
+		m := s.sum[i]
+		if i == w>>6 {
+			m &= ^uint64(0) << (uint(w) & 63)
+		}
+		if m != 0 {
+			wi := i<<6 + bits.TrailingZeros64(m)
+			return disk.BlockNo(wi<<6 + bits.TrailingZeros64(s.words[wi]))
+		}
+	}
+	return -1
 }

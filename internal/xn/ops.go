@@ -1,9 +1,10 @@
 package xn
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"xok/internal/cap"
 	"xok/internal/disk"
@@ -156,7 +157,7 @@ func (x *XN) Read(e *kernel.Env, blocks []disk.BlockNo, pages []mem.PageNo) erro
 
 	// Coalesce contiguous runs so large sorted schedules hit the disk
 	// as large requests.
-	sort.Slice(ops, func(i, j int) bool { return ops[i].block < ops[j].block })
+	slices.SortFunc(ops, func(a, b readOp) int { return cmp.Compare(a.block, b.block) })
 	submit := func(run []readOp) {
 		pagesData := make([][]byte, len(run))
 		for i, op := range run {
@@ -391,6 +392,14 @@ func (x *XN) setDirty(en *Entry) {
 	if !en.Dirty {
 		en.Dirty = true
 		x.dirtyCount++
+		// en may have left the registry while its caller was parked
+		// in a charge; the index holds live entries only.
+		if x.reg[en.Block] == en {
+			x.dirty.add(en.Block)
+			if !en.flushing {
+				x.flushable.add(en.Block)
+			}
+		}
 	}
 	x.maybeFlushBehind()
 }
@@ -407,15 +416,16 @@ func (x *XN) maybeFlushBehind() {
 	}
 	var flush []disk.BlockNo
 	limit := x.dirtyCount - x.FlushBehind/2 // flush down to half-threshold
-	for _, b := range x.DirtyBlocks() {
+	for b := x.flushable.next(0); b >= 0; b = x.flushable.next(b + 1) {
 		en := x.reg[b]
-		if en.LockedBy != NoEnv || en.State != StateResident || en.flushing {
+		if en.LockedBy != NoEnv || en.State != StateResident {
 			continue
 		}
 		if x.taintCheck(en) != nil {
 			continue
 		}
 		en.flushing = true
+		x.flushable.remove(b)
 		flush = append(flush, b)
 		if len(flush) >= limit {
 			break
@@ -644,6 +654,7 @@ func (x *XN) Alloc(e *kernel.Env, meta disk.BlockNo, mods []Mod, ext udf.Extent)
 	for i := int64(0); i < ext.Count; i++ {
 		b := disk.BlockNo(ext.Start + i)
 		x.free.set(int64(b), false)
+		x.unindex(b) // a raw-read entry for the free block may be replaced
 		x.reg[b] = &Entry{
 			Block:     b,
 			Page:      mem.NoPage,
@@ -674,18 +685,35 @@ func (x *XN) Dealloc(e *kernel.Env, meta disk.BlockNo, mods []Mod, ext udf.Exten
 	for i := int64(0); i < ext.Count; i++ {
 		b := disk.BlockNo(ext.Start + i)
 		if cen, ok := x.reg[b]; ok {
-			if cen.Page != mem.NoPage {
-				x.M.Unref(cen.Page)
-			}
-			if cen.Dirty {
-				x.dirtyCount--
-			}
-			delete(x.reg, b)
+			x.dropEntry(b, cen)
 		}
 		x.releaseBlock(b)
 	}
 	x.recomputeTaint(meta)
 	return nil
+}
+
+// dropEntry removes a deallocated block's registry entry. A
+// flush-behind write may still be in flight on it: clearing Dirty and
+// flushing on the orphan keeps that write's completion from counting
+// the block clean a second time.
+func (x *XN) dropEntry(b disk.BlockNo, en *Entry) {
+	if en.Page != mem.NoPage {
+		x.M.Unref(en.Page)
+	}
+	if en.Dirty {
+		x.dirtyCount--
+	}
+	en.Dirty, en.flushing = false, false
+	x.unindex(b)
+	delete(x.reg, b)
+}
+
+// unindex drops b from the dirty index: its entry went clean or is
+// leaving the registry.
+func (x *XN) unindex(b disk.BlockNo) {
+	x.dirty.remove(b)
+	x.flushable.remove(b)
 }
 
 // releaseBlock frees b if nothing on disk points to it, else queues it
@@ -748,6 +776,7 @@ func (x *XN) Replace(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remove u
 	for i := int64(0); i < add.Count; i++ {
 		b := disk.BlockNo(add.Start + i)
 		x.free.set(int64(b), false)
+		x.unindex(b) // a raw-read entry for the free block may be replaced
 		x.reg[b] = &Entry{
 			Block:     b,
 			Page:      mem.NoPage,
@@ -763,13 +792,7 @@ func (x *XN) Replace(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remove u
 	for i := int64(0); i < remove.Count; i++ {
 		b := disk.BlockNo(remove.Start + i)
 		if cen, ok := x.reg[b]; ok {
-			if cen.Page != mem.NoPage {
-				x.M.Unref(cen.Page)
-			}
-			if cen.Dirty {
-				x.dirtyCount--
-			}
-			delete(x.reg, b)
+			x.dropEntry(b, cen)
 		}
 		x.releaseBlock(b)
 	}
@@ -894,7 +917,7 @@ func (x *XN) Write(e *kernel.Env, blocks []disk.BlockNo) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].block < ops[j].block })
+	slices.SortFunc(ops, func(a, b writeOp) int { return cmp.Compare(a.block, b.block) })
 
 	remaining := 0
 	submit := func(run []writeOp) {
@@ -965,6 +988,9 @@ func (x *XN) completeWrite(b disk.BlockNo, en *Entry, newOwns []udf.Extent) {
 		x.dirtyCount--
 	}
 	en.flushing = false
+	if x.reg[b] == en {
+		x.unindex(b)
+	}
 	wasUninit := en.Uninit
 	en.Uninit = false
 	if wasUninit && en.Parent != NoParent {

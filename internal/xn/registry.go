@@ -1,8 +1,6 @@
 package xn
 
 import (
-	"sort"
-
 	"xok/internal/disk"
 	"xok/internal/kernel"
 	"xok/internal/mem"
@@ -334,12 +332,11 @@ func (x *XN) Unpin(b disk.BlockNo) {
 // write unowned dirty blocks).
 func (x *XN) DirtyBlocks() []disk.BlockNo {
 	var out []disk.BlockNo
-	for b, en := range x.reg {
-		if en.Dirty && en.State == StateResident {
+	for b := x.dirty.next(0); b >= 0; b = x.dirty.next(b + 1) {
+		if x.reg[b].State == StateResident {
 			out = append(out, b)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

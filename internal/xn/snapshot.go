@@ -123,6 +123,12 @@ func ForkXN(s *Snapshot, k *kernel.Kernel) *XN {
 	for i := range s.entries {
 		en := s.entries[i]
 		x.reg[en.Block] = &en
+		if en.Dirty {
+			// Snapshot refuses in-flight flushes, so every dirty
+			// entry is a flush-behind candidate again.
+			x.dirty.add(en.Block)
+			x.flushable.add(en.Block)
+		}
 	}
 	for b, owns := range s.onDiskOwns {
 		x.onDiskOwns[b] = owns

@@ -180,6 +180,14 @@ type XN struct {
 
 	dirtyCount int
 
+	// dirty indexes the registry's dirty entries by block number (bit
+	// set iff x.reg[b].Dirty) and flushable the flush-behind candidates
+	// among them (Dirty && !flushing), so DirtyBlocks and flush-behind
+	// walk the dirty work in block order instead of the whole registry.
+	// Only live registry entries are indexed: a completion or dirtying
+	// that reaches an entry no longer in x.reg leaves both sets alone.
+	dirty, flushable blockSet
+
 	// modScratch is the reusable shadow-copy buffer mutateMeta uses to
 	// trial-apply a modification before owns-udf re-verification, sized
 	// to the largest metadata block seen. modScratchBusy marks it held

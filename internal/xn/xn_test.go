@@ -120,7 +120,7 @@ type fixture struct {
 	rootName string
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	k := kernel.New(kernel.Config{Name: "xok", MemPages: 2048, DiskSize: 4096})
 	x := New(k)
@@ -159,7 +159,7 @@ func newFixture(t *testing.T) *fixture {
 
 // run executes body in a fresh environment with root credentials and
 // drains the machine.
-func (f *fixture) run(t *testing.T, name string, body func(*kernel.Env) error) {
+func (f *fixture) run(t testing.TB, name string, body func(*kernel.Env) error) {
 	t.Helper()
 	f.k.Spawn(name, func(e *kernel.Env) {
 		if e.Creds == nil {
