@@ -21,8 +21,8 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // of a single cycle.
 const goldenDir = "../../testdata/golden"
 
-// TestGoldenOutputs runs each pinned experiment exactly as
-// `xok-bench -run <name>` does and compares its stdout and meter byte
+// TestGoldenOutputs runs every experiment, in -run all's order, exactly
+// as `xok-bench -run <name>` does and compares its stdout and meter byte
 // for byte with the committed files. A host-time optimisation must
 // leave these untouched; a deliberate change to simulated results
 // regenerates them with
@@ -32,10 +32,10 @@ const goldenDir = "../../testdata/golden"
 // and the diff shows what moved.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs Figures 4 and 5 in full (seconds of host time)")
+		t.Skip("runs every experiment in full (seconds of host time)")
 	}
 	bench.Parallel = parallel.Workers(0)
-	for _, name := range []string{"figure4", "figure5"} {
+	for _, name := range order {
 		t.Run(name, func(t *testing.T) {
 			cycles, events := sim.CyclesSimulated(), sim.EventsDispatched()
 			out := captureStdout(t, experiments[name])
