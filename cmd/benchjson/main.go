@@ -8,7 +8,9 @@
 // Parsed per benchmark line: the run count plus every "value unit"
 // metric pair — the standard ns/op, B/op, allocs/op and any custom
 // b.ReportMetric units (vsec/system, usec/call, ...). Header lines
-// (goos/goarch/cpu) become the "host" block. Everything else passes
+// (goos/goarch/cpu) become the "host" block, together with the host's
+// CPU count (num_cpu) and the GOMAXPROCS the benchmarks ran at
+// (gomaxprocs, read from their -N name suffix). Everything else passes
 // through to stderr untouched so failures stay visible in the pipe.
 package main
 
@@ -18,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -30,6 +33,10 @@ type Benchmark struct {
 	Runs int64 `json:"runs"`
 	// Metrics maps unit -> value, e.g. {"ns/op": 57.3, "allocs/op": 0}.
 	Metrics map[string]float64 `json:"metrics"`
+
+	// procs is the GOMAXPROCS the line ran at: the stripped -N suffix,
+	// or 1 when go test printed none.
+	procs int
 }
 
 // Speedup is one derived serial-vs-parallel comparison: a benchmark
@@ -50,31 +57,12 @@ type Speedup struct {
 	// IntraRun is false for campaigns whose legs cannot fan out (e.g. a
 	// single cluster cell sweep: Parallel only distributes whole cells,
 	// so the worker count barely moves the number). It flags rows that
-	// must not be read as scaling evidence; see shard_speedups for the
-	// within-run comparison.
+	// must not be read as scaling evidence.
 	IntraRun *bool `json:"intra_run,omitempty"`
 	// Regression marks a speedup below 1.0 — the "fast" side lost. On a
 	// multi-core host `make perf-sanity` refuses to accept these rows;
 	// on a single-CPU host parallel rows hovering just under 1.0 are
 	// measurement noise (see perfsanity_test.go).
-	Regression bool `json:"regression,omitempty"`
-}
-
-// ShardSpeedup is one derived single-engine-vs-sharded comparison: a
-// benchmark pair named <Base>Serial / <Base>Shard<k>, where the shard
-// side splits each simulated fabric across k concurrent islands
-// (conservative parallel simulation within one run, not a pool of
-// independent runs).
-type ShardSpeedup struct {
-	Base   string `json:"base"`
-	Shards int    `json:"shards"`
-	// Speedup is single-engine ns/op over sharded ns/op (>1 = sharding
-	// wins).
-	Speedup float64 `json:"speedup"`
-	// SerialNsOp/ShardNsOp restate the inputs for review diffs.
-	SerialNsOp float64 `json:"serial_ns_op"`
-	ShardNsOp  float64 `json:"shard_ns_op"`
-	// Regression marks a speedup below 1.0 (see Speedup.Regression).
 	Regression bool `json:"regression,omitempty"`
 }
 
@@ -96,14 +84,12 @@ type SnapshotSpeedup struct {
 
 // WheelSpeedup is one derived heap-vs-timer-wheel comparison, from a
 // benchmark pair named <Base>Heap<Case> / <Base>Wheel<Case> (the
-// engine's far-timer microbenchmarks) or <Base>NoWheel / <Base> (a
-// whole campaign with the wheel backend off vs on). Speedup > 1 means
-// the wheel wins; these runs are single-threaded and deterministic, so
-// a regression here is real on any host.
+// engine's far-timer microbenchmarks). Speedup > 1 means the wheel
+// wins; these runs are single-threaded and deterministic, so a
+// regression here is real on any host.
 type WheelSpeedup struct {
 	Base string `json:"base"`
-	// Case is the pending-count suffix of the microbenchmark pair
-	// ("65536", "1M"), empty for whole-campaign NoWheel pairs.
+	// Case is the pending-count suffix of the pair ("65536", "1M").
 	Case string `json:"case,omitempty"`
 	// Speedup is heap ns/op over wheel ns/op (>1 = wheel wins).
 	Speedup float64 `json:"speedup"`
@@ -127,12 +113,8 @@ type Report struct {
 	// <Base>Snapshot<Mode> benchmark pairs, in the snapshot side's
 	// input order.
 	SnapshotSpeedups []SnapshotSpeedup `json:"snapshot_speedups,omitempty"`
-	// ShardSpeedups is derived from <Base>Serial / <Base>Shard<k>
-	// benchmark pairs, in the serial side's input order.
-	ShardSpeedups []ShardSpeedup `json:"shard_speedups,omitempty"`
 	// WheelSpeedups is derived from <Base>Heap<Case> / <Base>Wheel<Case>
-	// and <Base>NoWheel / <Base> benchmark pairs, in the heap (resp.
-	// NoWheel) side's input order.
+	// benchmark pairs, in the heap side's input order.
 	WheelSpeedups []WheelSpeedup `json:"wheel_speedups,omitempty"`
 }
 
@@ -169,9 +151,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: expected benchmarks missing or unparsable: %s\n", strings.Join(missing, ", "))
 		os.Exit(1)
 	}
+	rep.Host["num_cpu"] = strconv.Itoa(runtime.NumCPU())
+	rep.Host["gomaxprocs"] = gomaxprocs(rep.Benchmarks)
 	rep.ParallelSpeedups = deriveSpeedups(rep.Benchmarks)
 	rep.SnapshotSpeedups = deriveSnapshotSpeedups(rep.Benchmarks)
-	rep.ShardSpeedups = deriveShardSpeedups(rep.Benchmarks)
 	rep.WheelSpeedups = deriveWheelSpeedups(rep.Benchmarks)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -203,6 +186,20 @@ func missingBenchmarks(expect string, got []Benchmark) []string {
 	return missing
 }
 
+// gomaxprocs reports the GOMAXPROCS values the benchmarks ran at,
+// comma-separated in first-seen order (normally just one).
+func gomaxprocs(benches []Benchmark) string {
+	var vals []string
+	seen := map[int]bool{}
+	for _, b := range benches {
+		if !seen[b.procs] {
+			seen[b.procs] = true
+			vals = append(vals, strconv.Itoa(b.procs))
+		}
+	}
+	return strings.Join(vals, ",")
+}
+
 // noIntraRunParallelism names the campaign bases whose Parallel legs
 // cannot fan out within a run — the worker pool only distributes whole
 // independent sub-runs, and this campaign has too few to matter (the
@@ -216,10 +213,6 @@ var noIntraRunParallelism = map[string]bool{
 // deriveSpeedups pairs <Base>Serial with every <Base>Parallel<k> and
 // computes the speedup ratio plus the per-campaign allocation deltas.
 func deriveSpeedups(benches []Benchmark) []Speedup {
-	byName := make(map[string]Benchmark, len(benches))
-	for _, b := range benches {
-		byName[b.Name] = b
-	}
 	var out []Speedup
 	for _, s := range benches {
 		base, ok := strings.CutSuffix(s.Name, "Serial")
@@ -269,78 +262,16 @@ func deriveSpeedups(benches []Benchmark) []Speedup {
 	return out
 }
 
-// deriveShardSpeedups pairs <Base>Serial with every <Base>Shard<k>:
-// the same campaign on one engine versus split across k concurrent
-// islands inside each run.
-func deriveShardSpeedups(benches []Benchmark) []ShardSpeedup {
-	byName := make(map[string]Benchmark, len(benches))
-	for _, b := range benches {
-		byName[b.Name] = b
-	}
-	var out []ShardSpeedup
-	for _, s := range benches {
-		base, ok := strings.CutSuffix(s.Name, "Serial")
-		if !ok {
-			continue
-		}
-		for _, p := range benches {
-			rest, ok := strings.CutPrefix(p.Name, base+"Shard")
-			if !ok {
-				continue
-			}
-			shards, err := strconv.Atoi(rest)
-			if err != nil {
-				continue
-			}
-			sNs, pNs := s.Metrics["ns/op"], p.Metrics["ns/op"]
-			if sNs == 0 || pNs == 0 {
-				continue
-			}
-			out = append(out, ShardSpeedup{
-				Base:       base,
-				Shards:     shards,
-				Speedup:    sNs / pNs,
-				SerialNsOp: sNs,
-				ShardNsOp:  pNs,
-				Regression: sNs/pNs < 1.0,
-			})
-		}
-	}
-	return out
-}
-
-// deriveWheelSpeedups pairs the heap baseline with the timer-wheel
-// side: <Base>Heap<Case> with <Base>Wheel<Case> (engine far-timer
-// microbenchmarks at a fixed pending count) and <Base>NoWheel with
-// <Base> (whole campaigns with the wheel backend off vs on).
+// deriveWheelSpeedups pairs the heap baseline <Base>Heap<Case> with
+// the timer-wheel side <Base>Wheel<Case> (engine far-timer
+// microbenchmarks at a fixed pending count).
 func deriveWheelSpeedups(benches []Benchmark) []WheelSpeedup {
 	byName := make(map[string]Benchmark, len(benches))
 	for _, b := range benches {
 		byName[b.Name] = b
 	}
-	row := func(base, c string, heap, wheel Benchmark) (WheelSpeedup, bool) {
-		hNs, wNs := heap.Metrics["ns/op"], wheel.Metrics["ns/op"]
-		if hNs == 0 || wNs == 0 {
-			return WheelSpeedup{}, false
-		}
-		return WheelSpeedup{
-			Base: base, Case: c,
-			Speedup:    hNs / wNs,
-			HeapNsOp:   hNs,
-			WheelNsOp:  wNs,
-			Regression: hNs/wNs < 1.0,
-		}, true
-	}
 	var out []WheelSpeedup
 	for _, h := range benches {
-		if base, ok := strings.CutSuffix(h.Name, "NoWheel"); ok {
-			if wheel, found := byName[base]; found {
-				if sp, valid := row(base, "", h, wheel); valid {
-					out = append(out, sp)
-				}
-			}
-			continue
-		}
 		i := strings.Index(h.Name, "Heap")
 		if i < 0 {
 			continue
@@ -350,9 +281,17 @@ func deriveWheelSpeedups(benches []Benchmark) []WheelSpeedup {
 		if !found {
 			continue
 		}
-		if sp, valid := row(base, c, h, wheel); valid {
-			out = append(out, sp)
+		hNs, wNs := h.Metrics["ns/op"], wheel.Metrics["ns/op"]
+		if hNs == 0 || wNs == 0 {
+			continue
 		}
+		out = append(out, WheelSpeedup{
+			Base: base, Case: c,
+			Speedup:    hNs / wNs,
+			HeapNsOp:   hNs,
+			WheelNsOp:  wNs,
+			Regression: hNs/wNs < 1.0,
+		})
 	}
 	return out
 }
@@ -432,10 +371,10 @@ func parseBench(line string) (Benchmark, bool) {
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: f[0], Runs: runs, Metrics: map[string]float64{}}
+	b := Benchmark{Name: f[0], Runs: runs, Metrics: map[string]float64{}, procs: 1}
 	if i := strings.LastIndexByte(b.Name, '-'); i > 0 {
-		if _, err := strconv.Atoi(b.Name[i+1:]); err == nil {
-			b.Name = b.Name[:i]
+		if n, err := strconv.Atoi(b.Name[i+1:]); err == nil {
+			b.Name, b.procs = b.Name[:i], n
 		}
 	}
 	for i := 2; i+1 < len(f); i += 2 {

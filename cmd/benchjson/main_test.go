@@ -13,6 +13,9 @@ func TestParseBench(t *testing.T) {
 	if b.Runs != 20000000 {
 		t.Fatalf("runs %d", b.Runs)
 	}
+	if b.procs != 4 {
+		t.Fatalf("procs %d, want the stripped suffix 4", b.procs)
+	}
 	want := map[string]float64{"ns/op": 57.3, "B/op": 0, "allocs/op": 0}
 	for unit, v := range want {
 		if b.Metrics[unit] != v {
@@ -100,26 +103,6 @@ func TestDeriveSpeedupsIntraRunFlag(t *testing.T) {
 	}
 }
 
-func TestDeriveShardSpeedups(t *testing.T) {
-	benches := []Benchmark{
-		{Name: "BenchmarkClusterSerial", Metrics: map[string]float64{"ns/op": 900e6}},
-		{Name: "BenchmarkClusterShard4", Metrics: map[string]float64{"ns/op": 300e6}},
-		{Name: "BenchmarkClusterShardX", Metrics: map[string]float64{"ns/op": 5}}, // malformed count
-		{Name: "BenchmarkUnpairedShard2", Metrics: map[string]float64{"ns/op": 5}},
-	}
-	got := deriveShardSpeedups(benches)
-	if len(got) != 1 {
-		t.Fatalf("derived %d shard speedups, want 1: %+v", len(got), got)
-	}
-	s := got[0]
-	if s.Base != "BenchmarkCluster" || s.Shards != 4 {
-		t.Fatalf("pairing wrong: %+v", s)
-	}
-	if s.Speedup != 3.0 {
-		t.Fatalf("speedup = %v, want 3.0", s.Speedup)
-	}
-}
-
 func TestDeriveSnapshotSpeedups(t *testing.T) {
 	benches := []Benchmark{
 		{Name: "BenchmarkCrashSweepSerial", Metrics: map[string]float64{"ns/op": 600e6}},
@@ -146,23 +129,17 @@ func TestDeriveWheelSpeedups(t *testing.T) {
 		{Name: "BenchmarkEngineTimersWheel65536", Metrics: map[string]float64{"ns/op": 85.8}},
 		{Name: "BenchmarkEngineTimersHeap1M", Metrics: map[string]float64{"ns/op": 232.9}},
 		{Name: "BenchmarkEngineTimersWheel1M", Metrics: map[string]float64{"ns/op": 130.7}},
-		{Name: "BenchmarkClusterConns100k", Metrics: map[string]float64{"ns/op": 2.0e9}},
-		{Name: "BenchmarkClusterConns100kNoWheel", Metrics: map[string]float64{"ns/op": 2.8e9}},
 		{Name: "BenchmarkUnpairedHeap8", Metrics: map[string]float64{"ns/op": 5}},
-		{Name: "BenchmarkOrphanNoWheel", Metrics: map[string]float64{"ns/op": 5}},
 	}
 	got := deriveWheelSpeedups(benches)
-	if len(got) != 3 {
-		t.Fatalf("derived %d wheel speedups, want 3: %+v", len(got), got)
+	if len(got) != 2 {
+		t.Fatalf("derived %d wheel speedups, want 2: %+v", len(got), got)
 	}
 	if got[0].Base != "BenchmarkEngineTimers" || got[0].Case != "65536" || got[0].Speedup < 2.0 {
 		t.Fatalf("65536 pairing wrong: %+v", got[0])
 	}
 	if got[1].Case != "1M" || got[1].Speedup < 1.7 {
 		t.Fatalf("1M pairing wrong: %+v", got[1])
-	}
-	if got[2].Base != "BenchmarkClusterConns100k" || got[2].Case != "" || got[2].Speedup < 1.3 {
-		t.Fatalf("NoWheel pairing wrong: %+v", got[2])
 	}
 	for _, s := range got {
 		if s.Regression {
@@ -175,16 +152,12 @@ func TestDeriveSpeedupsRegressionFlag(t *testing.T) {
 	benches := []Benchmark{
 		{Name: "BenchmarkSlowSerial", Metrics: map[string]float64{"ns/op": 100}},
 		{Name: "BenchmarkSlowParallel4", Metrics: map[string]float64{"ns/op": 110}},
-		{Name: "BenchmarkSlowShard4", Metrics: map[string]float64{"ns/op": 120}},
 		{Name: "BenchmarkSlowSnapshotSerial", Metrics: map[string]float64{"ns/op": 130}},
 		{Name: "BenchmarkEngineTimersHeap1M", Metrics: map[string]float64{"ns/op": 90}},
 		{Name: "BenchmarkEngineTimersWheel1M", Metrics: map[string]float64{"ns/op": 100}},
 	}
 	if got := deriveSpeedups(benches); len(got) != 1 || !got[0].Regression {
 		t.Fatalf("parallel slowdown not flagged: %+v", got)
-	}
-	if got := deriveShardSpeedups(benches); len(got) != 1 || !got[0].Regression {
-		t.Fatalf("shard slowdown not flagged: %+v", got)
 	}
 	if got := deriveSnapshotSpeedups(benches); len(got) != 1 || !got[0].Regression {
 		t.Fatalf("snapshot slowdown not flagged: %+v", got)
@@ -202,6 +175,27 @@ func TestDeriveSpeedupsNoBenchmem(t *testing.T) {
 	got := deriveSpeedups(benches)
 	if len(got) != 1 || got[0].AllocDeltaBytes != nil || got[0].AllocDeltaObjects != nil {
 		t.Fatalf("alloc deltas should be absent without -benchmem: %+v", got)
+	}
+}
+
+func TestGomaxprocs(t *testing.T) {
+	var benches []Benchmark
+	for _, line := range []string{
+		"BenchmarkA-2 10 5 ns/op",
+		"BenchmarkB-2 10 5 ns/op",
+		"BenchmarkC 10 5 ns/op", // GOMAXPROCS=1: go test prints no suffix
+	} {
+		b, ok := parseBench(line)
+		if !ok {
+			t.Fatalf("line did not parse: %q", line)
+		}
+		benches = append(benches, b)
+	}
+	if got := gomaxprocs(benches[:2]); got != "2" {
+		t.Fatalf("gomaxprocs = %q, want 2", got)
+	}
+	if got := gomaxprocs(benches); got != "2,1" {
+		t.Fatalf("gomaxprocs = %q, want 2,1", got)
 	}
 }
 

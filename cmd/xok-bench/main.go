@@ -78,8 +78,6 @@ var (
 	serversFlag  = flag.Int("servers", 4, "cluster: backend machine count")
 	connsFlag    = flag.Int("conns", 2000, "cluster: open-loop connection arrivals per cell")
 	rateFlag     = flag.Float64("rate", 0, "cluster: offered arrivals per virtual second (0 = default)")
-	shardFlag    = flag.Int("shard", 0, "cluster: shard each cell's fabric across this many concurrent islands (0 = single-engine); stdout is byte-identical at any setting, incompatible with -trace/-hist")
-	nowheelFlag  = flag.Bool("nowheel", false, "cluster: disable the engines' timer-wheel scheduling backend (pure-heap baseline); stdout is byte-identical either way, only host time moves")
 )
 
 // bench carries the shared experiment knobs: the optional trace sink
@@ -89,9 +87,11 @@ var bench core.Bench
 
 func main() {
 	flag.Parse()
+	if err := checkFlags(); err != nil {
+		fmt.Fprintf(os.Stderr, "xok-bench: %v\n", err)
+		os.Exit(2)
+	}
 	bench.Parallel = parallel.Workers(*parallelFlag)
-	bench.Shard = *shardFlag
-	bench.NoWheel = *nowheelFlag
 	var tr *trace.Tracer
 	if *traceFlag != "" || *histFlag {
 		tr = trace.New()
@@ -111,6 +111,16 @@ func main() {
 		os.Exit(2)
 	}
 	timed(*runFlag, fn)
+}
+
+// checkFlags rejects out-of-range numeric flags before anything runs,
+// with the same checks the cluster and difftest harnesses apply.
+func checkFlags() error {
+	cell := workload.ClusterConfig{Servers: *serversFlag, Conns: *connsFlag, Rate: *rateFlag}
+	if err := cell.Validate(); err != nil {
+		return err
+	}
+	return difftest.Options{Seeds: *seedsFlag, Steps: *stepsFlag}.Validate()
 }
 
 // experiments maps each -run name to the function printing its

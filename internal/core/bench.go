@@ -40,16 +40,6 @@ type BenchOpts struct {
 	// cmd/xok-bench resolves its -parallel flag (0 = one worker per
 	// CPU) with parallel.Workers before setting this.
 	Parallel int
-	// Shard partitions each cluster cell's fabric across this many
-	// concurrent islands (conservative parallel simulation inside one
-	// run, vs Parallel's across-runs pool). Only the cluster
-	// experiment honors it; 0 runs single-engine. Incompatible with
-	// Trace — sharded cells refuse a full tracer.
-	Shard int
-	// NoWheel disables the cluster engines' timer-wheel scheduling
-	// backend (pure-heap baseline). Results are byte-identical either
-	// way; only host time moves (cmd/xok-bench's -nowheel).
-	NoWheel bool
 }
 
 func (b *Bench) workers() int {
@@ -184,8 +174,6 @@ func (b *Bench) Cluster(cells []workload.ClusterConfig) ([]workload.ClusterResul
 	return runLegs(b, len(cells), func(i int, tr *trace.Tracer) (workload.ClusterResult, error) {
 		cfg := cells[i]
 		cfg.Trace = tr
-		cfg.Shard = b.Shard
-		cfg.NoWheel = b.NoWheel
 		return workload.Cluster(cfg)
 	})
 }

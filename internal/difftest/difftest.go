@@ -627,6 +627,19 @@ func allSteps(n int) []int {
 	return keep
 }
 
+// Validate rejects negative program counts and lengths (zero selects
+// the default). Fuzz and Replay apply it; command-line front ends call
+// it to reject bad flags before running anything.
+func (o Options) Validate() error {
+	switch {
+	case o.Seeds < 0:
+		return fmt.Errorf("difftest: negative program count %d", o.Seeds)
+	case o.Steps < 0:
+		return fmt.Errorf("difftest: negative program length %d", o.Steps)
+	}
+	return nil
+}
+
 // Fuzz runs the configured campaign. It returns the first divergence
 // found — already shrunk, with its replay token — or nil if every seed
 // agreed. Infrastructure errors (a personality failing to boot) are
@@ -638,6 +651,9 @@ func allSteps(n int) []int {
 // the calling goroutine, keeping the output byte-identical to a
 // serial run.
 func Fuzz(opt Options) (*Divergence, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	o := opt.Defaults()
 	if o.Snapshot {
 		release, err := o.bootSnapshots()
@@ -784,6 +800,9 @@ func (o *Options) shrinkDivergence(seed uint64, steps []Step, div *Divergence) (
 // carries one. It returns the divergence the token reproduces (nil if
 // it no longer diverges, e.g. after a fix).
 func Replay(token string, opt Options) (*Divergence, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	o := opt.Defaults()
 	seed, n, keep, err := ParseToken(token)
 	if err != nil {

@@ -245,3 +245,26 @@ func TestGenerateStable(t *testing.T) {
 	}
 	t.Logf("program digest %#x", h)
 }
+
+// TestNegativeOptionsRejected: a negative program count or length is
+// an error from Fuzz and Replay, never a panic in Generate or a
+// campaign over a wrapped-around seed range.
+func TestNegativeOptionsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		want string
+	}{
+		{"seeds", Options{Seeds: -3}, "program count"},
+		{"steps", Options{Seeds: 1, Steps: -1}, "program length"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Fuzz(tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Fuzz(%+v) error = %v, want one naming the %s", tc.opt, err, tc.want)
+			}
+			if _, err := Replay("1:4:all", tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Replay(%+v) error = %v, want one naming the %s", tc.opt, err, tc.want)
+			}
+		})
+	}
+}

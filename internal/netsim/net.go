@@ -26,7 +26,6 @@ package netsim
 import (
 	"encoding/binary"
 
-	"xok/internal/kernel"
 	"xok/internal/sim"
 )
 
@@ -79,47 +78,4 @@ func (p *Packet) HeaderInto(buf []byte) []byte {
 // Header renders the match bytes into a fresh slice.
 func (p *Packet) Header() []byte {
 	return p.HeaderInto(make([]byte, 9))
-}
-
-// Net is the deprecated single-machine view of the fabric: one server
-// machine with sim.NumLinks Ethernets to one client host — exactly
-// the pre-Topology package API.
-//
-// Deprecated: build a Topology. Net remains so existing single-server
-// harnesses keep compiling; it is a thin veneer over a two-host
-// Topology and produces event-for-event identical behavior.
-type Net struct {
-	*Topology
-	K *kernel.Kernel
-
-	// Client and Server are the two hosts of the legacy pairing.
-	Client HostID
-	Server HostID
-}
-
-// New wires sim.NumLinks Ethernets between a client host and the
-// kernel's machine.
-//
-// Deprecated: build a Topology with AddHost/AttachKernel/Link.
-func New(k *kernel.Kernel) *Net {
-	t := NewTopologyOn(k.Eng)
-	t.Faults = k.Faults
-	n := &Net{Topology: t, K: k}
-	n.Client = t.AddHost("client")
-	n.Server = t.AttachKernel("server", k)
-	for i := 0; i < sim.NumLinks; i++ {
-		t.Link(n.Client, n.Server, LinkSpec{})
-	}
-	return n
-}
-
-// Serve runs the server loop on the machine's NIC (see NIC.Serve).
-func (n *Net) Serve(env *kernel.Env, cfg StackConfig, handler Handler, stopAt sim.Time) *Stack {
-	return n.Topology.NIC(n.Server).Serve(env, cfg, handler, stopAt)
-}
-
-// NewClientPool prepares closed-loop clients against the server (see
-// Topology.NewClientPool).
-func (n *Net) NewClientPool(clients, docSize int, stopAt sim.Time) *ClientPool {
-	return n.Topology.NewClientPool(n.Client, n.Server, clients, docSize, stopAt)
 }

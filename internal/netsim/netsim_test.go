@@ -17,17 +17,44 @@ func testServerConfig() StackConfig {
 	}
 }
 
+// pair is one server machine with sim.NumLinks Ethernets to one client
+// host: the Figure 3 wiring, built on a Topology.
+type pair struct {
+	*Topology
+	client, server HostID
+}
+
+func newPair(k *kernel.Kernel) *pair {
+	tp := NewTopologyOn(k.Eng)
+	tp.Faults = k.Faults
+	p := &pair{Topology: tp, client: tp.AddHost("client"), server: tp.AttachKernel("server", k)}
+	for i := 0; i < sim.NumLinks; i++ {
+		tp.Link(p.client, p.server, LinkSpec{})
+	}
+	return p
+}
+
+// pool prepares closed-loop clients against the server.
+func (p *pair) pool(clients, docSize int, stopAt sim.Time) *ClientPool {
+	return p.NewClientPool(p.client, p.server, clients, docSize, stopAt)
+}
+
+// serve runs the server loop on the machine's NIC.
+func (p *pair) serve(env *kernel.Env, cfg StackConfig, handler Handler, stopAt sim.Time) *Stack {
+	return p.NIC(p.server).Serve(env, cfg, handler, stopAt)
+}
+
 // serve boots a machine with a fixed-size handler and runs a client
 // pool against it.
 func serve(t *testing.T, cfg StackConfig, body, clients int, dur sim.Time) (*ClientPool, *kernel.Env, *kernel.Kernel) {
 	t.Helper()
 	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
-	n := New(k)
+	n := newPair(k)
 	stop := k.Now() + dur
-	pool := n.NewClientPool(clients, body, stop)
+	pool := n.pool(clients, body, stop)
 	env := k.Spawn("server", func(e *kernel.Env) {
 		e.Creds = cap.UnixCreds(0)
-		n.Serve(e, cfg, func(*kernel.Env, *Conn) int { return body }, stop)
+		n.serve(e, cfg, func(*kernel.Env, *Conn) int { return body }, stop)
 	})
 	k.RunUntil(stop)
 	k.Shutdown()
@@ -124,15 +151,12 @@ type nowSink struct {
 func (s *nowSink) deliverPkt(*Packet) { *s.at = s.eng.Now() }
 
 func TestWireTimeSerializesLink(t *testing.T) {
-	eng := sim.NewEngine()
-	rt := &islandRT{eng: eng}
-	l := &link{rt: [2]*islandRT{rt, rt}, bps: sim.LinkBandwidthBps, latency: sim.LinkLatency}
+	tp := NewTopology()
+	eng := tp.Engine()
+	l := &link{eng: eng, bps: sim.LinkBandwidthBps, latency: sim.LinkLatency}
 	var first, second sim.Time
 	send := func(at *sim.Time) {
-		tr := rt.newTransit()
-		tr.rt = rt
-		tr.to = &nowSink{eng: eng, at: at}
-		l.transmit(0, 1460, tr)
+		l.transmit(0, 1460, testTransit(tp, &nowSink{eng: eng, at: at}))
 	}
 	send(&first)
 	send(&second)
@@ -166,13 +190,13 @@ func TestLossRecoveredByRetransmission(t *testing.T) {
 	// go-back-N retransmission out of the retransmission pool fills
 	// the holes.
 	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
-	n := New(k)
+	n := newPair(k)
 	n.LossRate = 32
 	dur := 2 * sim.CPUHz / 5 * sim.Time(1) // 400 ms
 	stop := k.Now() + dur
-	pool := n.NewClientPool(6, 20000, stop)
+	pool := n.pool(6, 20000, stop)
 	k.Spawn("server", func(e *kernel.Env) {
-		n.Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 20000 }, stop)
+		n.serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 20000 }, stop)
 	})
 	k.RunUntil(stop)
 	k.Shutdown()
@@ -191,12 +215,12 @@ func TestLossRecoveredByRetransmission(t *testing.T) {
 func TestLossReducesThroughput(t *testing.T) {
 	measure := func(loss int) int {
 		k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
-		n := New(k)
+		n := newPair(k)
 		n.LossRate = loss
 		stop := k.Now() + 200*sim.Millisecond
-		pool := n.NewClientPool(8, 10000, stop)
+		pool := n.pool(8, 10000, stop)
 		k.Spawn("server", func(e *kernel.Env) {
-			n.Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 10000 }, stop)
+			n.serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 10000 }, stop)
 		})
 		k.RunUntil(stop)
 		k.Shutdown()
@@ -218,11 +242,11 @@ func TestBidirectionalLossRecovered(t *testing.T) {
 	run := func() (*ClientPool, *kernel.Kernel) {
 		plan := &fault.Plan{Seed: 7, LossRate: 24, DupRate: 37, ReorderRate: 41}
 		k := kernel.New(kernel.Config{Name: "net", MemPages: 512, Faults: plan})
-		n := New(k)
+		n := newPair(k)
 		stop := k.Now() + 400*sim.Millisecond
-		pool := n.NewClientPool(6, 20000, stop)
+		pool := n.pool(6, 20000, stop)
 		k.Spawn("server", func(e *kernel.Env) {
-			n.Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 20000 }, stop)
+			n.serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 20000 }, stop)
 		})
 		k.RunUntil(stop)
 		k.Shutdown()
@@ -251,12 +275,12 @@ func TestClientSideLossRecovered(t *testing.T) {
 	// fails constantly, and only the client retransmission timer keeps
 	// connections alive.
 	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
-	n := New(k)
+	n := newPair(k)
 	n.LossRate = 6
 	stop := k.Now() + 400*sim.Millisecond
-	pool := n.NewClientPool(4, 5000, stop)
+	pool := n.pool(4, 5000, stop)
 	k.Spawn("server", func(e *kernel.Env) {
-		n.Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 5000 }, stop)
+		n.serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 5000 }, stop)
 	})
 	k.RunUntil(stop)
 	k.Shutdown()
@@ -271,11 +295,11 @@ func TestClientSideLossRecovered(t *testing.T) {
 func TestConnectionTracing(t *testing.T) {
 	tr := trace.New()
 	k := kernel.New(kernel.Config{Name: "net", MemPages: 512, Trace: tr})
-	n := New(k)
+	n := newPair(k)
 	stop := k.Now() + 100*sim.Millisecond
-	pool := n.NewClientPool(4, 1000, stop)
+	pool := n.pool(4, 1000, stop)
 	k.Spawn("server", func(e *kernel.Env) {
-		n.Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 1000 }, stop)
+		n.serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 1000 }, stop)
 	})
 	k.RunUntil(stop)
 	k.Shutdown()

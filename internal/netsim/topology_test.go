@@ -15,9 +15,9 @@ func (s *funcSink) deliverPkt(p *Packet) { s.f(p) }
 
 // testTransit builds a terminal transit record (no further hops)
 // delivering to the given sink.
-func testTransit(rt *islandRT, to sink) *transit {
-	tr := rt.newTransit()
-	tr.rt = rt
+func testTransit(tp *Topology, to sink) *transit {
+	tr := tp.newTransit()
+	tr.t = tp
 	tr.to = to
 	return tr
 }
@@ -25,14 +25,14 @@ func testTransit(rt *islandRT, to sink) *transit {
 // TestLinkCustomBandwidthSerializes: frames on a slow link serialize
 // against the custom wire time, not the default Ethernet's.
 func TestLinkCustomBandwidthSerializes(t *testing.T) {
-	eng := sim.NewEngine()
+	tp := NewTopology()
+	eng := tp.Engine()
 	const bps = 10_000_000 // 10 Mbit
-	rt := &islandRT{eng: eng}
-	l := &link{rt: [2]*islandRT{rt, rt}, bps: bps, latency: sim.LinkLatency}
+	l := &link{eng: eng, bps: bps, latency: sim.LinkLatency}
 	var deliveries []sim.Time
 	record := &funcSink{f: func(p *Packet) { deliveries = append(deliveries, eng.Now()) }}
-	l.transmit(0, 1460, testTransit(rt, record))
-	l.transmit(0, 1460, testTransit(rt, record))
+	l.transmit(0, 1460, testTransit(tp, record))
+	l.transmit(0, 1460, testTransit(tp, record))
 	eng.Run()
 	if len(deliveries) != 2 {
 		t.Fatalf("delivered %d frames, want 2", len(deliveries))

@@ -34,16 +34,15 @@ func (ev Event) At() Time {
 // not allocate. gen increments on every recycle, invalidating any
 // handles still pointing at the slot.
 type node struct {
-	at      Time
-	schedAt Time // clock value when the event was scheduled
-	seq     uint64
-	fn      func()
-	fnArg   func(any) // set (with arg) by AfterArg instead of fn
-	arg     any
-	gen     uint32
-	index   int32 // heap position, -1 once popped/removed, <= -2 in a wheel bucket
-	next    *node // free-list / wheel-bucket link
-	prev    *node // wheel-bucket back link (O(1) cancel)
+	at    Time
+	seq   uint64
+	fn    func()
+	fnArg func(any) // set (with arg) by AfterArg instead of fn
+	arg   any
+	gen   uint32
+	index int32 // heap position, -1 once popped/removed, <= -2 in a wheel bucket
+	next  *node // free-list / wheel-bucket link
+	prev  *node // wheel-bucket back link (O(1) cancel)
 }
 
 // Engine is the discrete-event core: a virtual clock plus a
@@ -117,7 +116,6 @@ func (e *Engine) schedule(t Time) *node {
 		n = &node{}
 	}
 	n.at = t
-	n.schedAt = e.now
 	n.seq = e.seq
 	e.seq++
 	if !e.wheelAdd(n) {
@@ -224,21 +222,6 @@ func (e *Engine) peek() (Time, bool) {
 		return 0, false
 	}
 	return e.heap[0].at, true
-}
-
-// NextEvent peeks at the earliest queued event without firing it,
-// reporting its fire time and the clock value at which it was
-// scheduled. The conservative parallel scheduler (shard.go) uses the
-// pair to merge engine events against cross-island channel arrivals
-// with the same tie-break a single shared engine's (at, seq) order
-// would produce: among same-instant events, the one scheduled earliest
-// fires first.
-func (e *Engine) NextEvent() (at, schedAt Time, ok bool) {
-	e.syncWheel()
-	if len(e.heap) == 0 {
-		return 0, 0, false
-	}
-	return e.heap[0].at, e.heap[0].schedAt, true
 }
 
 // Run processes events until the queue is empty.

@@ -317,58 +317,3 @@ func TestWheelSnapshotClock(t *testing.T) {
 		}
 	}
 }
-
-// TestWheelIslandsMatchSingleEngine: the conservative parallel
-// scheduler must produce the same merged dispatch order whether island
-// engines run wheel-backed or pure heap — cross-island merges go
-// through NextEvent/Advance, which sync the wheel first.
-func TestWheelIslandsMatchSingleEngine(t *testing.T) {
-	type hop struct {
-		at  Time
-		isl int
-		n   int
-	}
-	run := func(wheelOn bool) []hop {
-		var log []hop
-		a := NewIsland(0, NewEngine())
-		b := NewIsland(1, NewEngine())
-		a.Engine().SetWheel(wheelOn)
-		b.Engine().SetWheel(wheelOn)
-		ab := Connect(a, b, 1000)
-		ba := Connect(b, a, 1000)
-		// Ping-pong with far gaps (wheel territory) plus local far
-		// timers on each island.
-		var ping func(isl *Island, out *Channel, n int)
-		ping = func(isl *Island, out *Channel, n int) {
-			log = append(log, hop{isl.Engine().Now(), isl.ID(), n})
-			if n >= 12 {
-				return
-			}
-			isl.Engine().After(3_000_000, func() {
-				log = append(log, hop{isl.Engine().Now(), isl.ID(), 100 + n})
-			})
-			at := isl.Engine().Now() + 20_000_000
-			var dst *Island
-			var back *Channel
-			if isl == a {
-				dst, back = b, ba
-			} else {
-				dst, back = a, ab
-			}
-			out.Send(at, func() { ping(dst, back, n+1) })
-		}
-		a.Engine().After(10_000_000, func() { ping(a, ab, 0) })
-		RunIslands([]*Island{a, b}, goSpawn)
-		return log
-	}
-	on := run(true)
-	off := run(false)
-	if len(on) != len(off) {
-		t.Fatalf("wheel-on fired %d hops, wheel-off %d", len(on), len(off))
-	}
-	for i := range on {
-		if on[i] != off[i] {
-			t.Fatalf("island dispatch[%d]: on=%+v off=%+v", i, on[i], off[i])
-		}
-	}
-}

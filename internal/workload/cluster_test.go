@@ -2,12 +2,15 @@ package workload_test
 
 import (
 	"bytes"
+	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"xok/internal/core"
 	"xok/internal/machine"
 	"xok/internal/netsim"
+	"xok/internal/sim"
 	"xok/internal/trace"
 	"xok/internal/workload"
 )
@@ -48,128 +51,100 @@ func TestClusterParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// renderClusterShard runs the sweep single-threaded with the given
-// shard count (0 = single-engine) and returns the rendered report and
-// combined digest. No trace sink: full tracing and sharding are
-// mutually exclusive, and the latency digest is what the byte-identity
-// bar is measured on.
-func renderClusterShard(t *testing.T, shard int) (string, uint64) {
+// renderCells runs the sweep cell by cell through run and returns the
+// rendered report plus the combined latency digest.
+func renderCells(t *testing.T, run func(workload.ClusterConfig) (workload.ClusterResult, error)) (string, uint64) {
 	t.Helper()
-	bench := core.Bench{BenchOpts: core.BenchOpts{Shard: shard}}
-	rs, err := bench.Cluster(testCells())
-	if err != nil {
-		t.Fatal(err)
+	var rs []workload.ClusterResult
+	for _, cell := range testCells() {
+		r, err := run(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, r)
 	}
 	var buf bytes.Buffer
 	workload.WriteClusterReport(&buf, rs)
 	return buf.String(), workload.ClusterDigest(rs)
 }
 
-// TestClusterShardMatchesSingleEngine: the sharded cluster renders
-// byte-identically — report text and latency digests — to the
-// single-engine run at every shard count, including shard counts past
-// the server count (which clamp).
-func TestClusterShardMatchesSingleEngine(t *testing.T) {
-	singleOut, singleDigest := renderClusterShard(t, 0)
-	for _, n := range []int{1, 2, 4, 8} {
-		out, digest := renderClusterShard(t, n)
-		if out != singleOut {
-			t.Errorf("-shard %d report differs from single-engine:\n--- single ---\n%s--- shard %d ---\n%s",
-				n, singleOut, n, out)
-		}
-		if digest != singleDigest {
-			t.Errorf("-shard %d digest %#x != single-engine %#x", n, digest, singleDigest)
-		}
-	}
+// onHeap runs one cell on an engine with the timer wheel off: the
+// pure binary-heap reference the wheel must match.
+func onHeap(cfg workload.ClusterConfig) (workload.ClusterResult, error) {
+	eng := sim.NewEngine()
+	eng.SetWheel(false)
+	return workload.RunCluster(cfg, eng)
 }
 
 // TestClusterWheelMatchesHeap: the timer-wheel scheduling backend is
 // an implementation detail — every cell's report bytes and latency
-// digest are identical with the wheel on (default) and off (NoWheel's
-// pure-heap baseline), and identical again when sharding composes with
-// either backend.
+// digest are identical with the wheel on (default) and off (the
+// pure-heap reference).
 func TestClusterWheelMatchesHeap(t *testing.T) {
-	render := func(noWheel bool, shard int) (string, uint64) {
-		bench := core.Bench{BenchOpts: core.BenchOpts{NoWheel: noWheel, Shard: shard}}
-		rs, err := bench.Cluster(testCells())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		workload.WriteClusterReport(&buf, rs)
-		return buf.String(), workload.ClusterDigest(rs)
+	wheelOut, wheelDigest := renderCells(t, workload.Cluster)
+	heapOut, heapDigest := renderCells(t, onHeap)
+	if heapOut != wheelOut {
+		t.Errorf("heap report differs from wheel:\n--- wheel ---\n%s--- heap ---\n%s", wheelOut, heapOut)
 	}
-	wheelOut, wheelDigest := render(false, 0)
-	for _, cfg := range []struct {
-		name    string
-		noWheel bool
-		shard   int
-	}{
-		{"heap", true, 0},
-		{"heap-shard2", true, 2},
-		{"wheel-shard2", false, 2},
-	} {
-		out, digest := render(cfg.noWheel, cfg.shard)
-		if out != wheelOut {
-			t.Errorf("%s report differs from wheel/single-engine:\n--- wheel ---\n%s--- %s ---\n%s",
-				cfg.name, wheelOut, cfg.name, out)
-		}
-		if digest != wheelDigest {
-			t.Errorf("%s digest %#x != wheel %#x", cfg.name, digest, wheelDigest)
-		}
+	if heapDigest != wheelDigest {
+		t.Errorf("heap digest %#x != wheel %#x", heapDigest, wheelDigest)
 	}
 }
 
 // TestClusterConns100kWheelDigest is the wheel smoke (`make
 // wheel-smoke`): one 100k-connection cell, run with the wheel and with
-// the pure heap — single-engine and sharded — must complete every
-// connection, and within each topology the two scheduling backends
-// must produce identical latency digests and engine event counts (the
-// wheel is an implementation detail at every scale and shard count).
-// The single-engine and sharded digests are NOT compared to each
-// other: past ~60k connections the cross-island tie-break for
-// same-cycle events may legitimately order sub-cycle collisions
-// differently than the shared engine's sequence numbers (see the
-// ClusterConfig.Shard doc). ~5 s/run unraced on a 2021 host — opt-in
-// via XOK_WHEEL_SMOKE=1 so plain `go test ./...` stays fast.
+// the pure heap, must complete every connection, and the two
+// scheduling backends must produce identical latency digests and
+// engine event counts (the wheel is an implementation detail at every
+// scale). ~5 s/run unraced on a 2021 host — opt-in via
+// XOK_WHEEL_SMOKE=1 so plain `go test ./...` stays fast.
 func TestClusterConns100kWheelDigest(t *testing.T) {
 	if os.Getenv("XOK_WHEEL_SMOKE") == "" {
 		t.Skip("set XOK_WHEEL_SMOKE=1 (make wheel-smoke) to run the 100k-connection smoke")
 	}
-	run := func(noWheel bool, shard int) workload.ClusterResult {
-		res, err := workload.Cluster(workload.ClusterConfig{
-			Servers: 4, Conns: 100_000, Rate: 4000,
-			Policy: netsim.LeastConnections, NoWheel: noWheel, Shard: shard,
-		})
+	cell := workload.ClusterConfig{
+		Servers: 4, Conns: 100_000, Rate: 4000,
+		Policy: netsim.LeastConnections,
+	}
+	run := func(name string, run func(workload.ClusterConfig) (workload.ClusterResult, error)) workload.ClusterResult {
+		res, err := run(cell)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Completed != res.Conns {
-			t.Fatalf("noWheel=%v shard=%d: %d/%d connections completed",
-				noWheel, shard, res.Completed, res.Conns)
+			t.Fatalf("%s: %d/%d connections completed", name, res.Completed, res.Conns)
 		}
 		return res
 	}
-	for _, shard := range []int{0, 2} {
-		wheel := run(false, shard)
-		heap := run(true, shard)
-		if wheel.Digest != heap.Digest {
-			t.Errorf("100k-connection digest (shard=%d): wheel %#x != heap %#x",
-				shard, wheel.Digest, heap.Digest)
-		}
-		if wheel.EngineEvents != heap.EngineEvents {
-			t.Errorf("100k-connection event count (shard=%d): wheel %d != heap %d",
-				shard, wheel.EngineEvents, heap.EngineEvents)
-		}
+	wheel := run("wheel", workload.Cluster)
+	heap := run("heap", onHeap)
+	if wheel.Digest != heap.Digest {
+		t.Errorf("100k-connection digest: wheel %#x != heap %#x", wheel.Digest, heap.Digest)
+	}
+	if wheel.EngineEvents != heap.EngineEvents {
+		t.Errorf("100k-connection event count: wheel %d != heap %d", wheel.EngineEvents, heap.EngineEvents)
 	}
 }
 
-// TestClusterShardRejectsTracing: a traced cell cannot shard — one
-// tracer cannot deterministically interleave concurrent islands.
-func TestClusterShardRejectsTracing(t *testing.T) {
-	bench := core.Bench{BenchOpts: core.BenchOpts{Trace: trace.New(), Shard: 2}}
-	if _, err := bench.Cluster(testCells()); err == nil {
-		t.Fatal("sharded cluster with a full tracer did not error")
+// TestClusterRejectsNegativeSizes: a negative size is an error up
+// front, never a panic in the fabric or a run at a substituted value.
+func TestClusterRejectsNegativeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  workload.ClusterConfig
+		want string
+	}{
+		{"servers", workload.ClusterConfig{Servers: -1}, "server count"},
+		{"conns", workload.ClusterConfig{Conns: -5}, "connection count"},
+		{"rate", workload.ClusterConfig{Rate: -100}, "arrival rate"},
+		{"rate-nan", workload.ClusterConfig{Rate: math.NaN()}, "arrival rate"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := workload.Cluster(tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Cluster(%+v) error = %v, want one naming the %s", tc.cfg, err, tc.want)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"xok/internal/cap"
 	"xok/internal/disk"
 	"xok/internal/kernel"
 	"xok/internal/sim"
@@ -369,6 +370,75 @@ func TestDeallocDuringFlushKeepsDirtyCount(t *testing.T) {
 		if err := checkIndex(x, "after drop"); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestOrphanedEntryNotCountedDirty: an entry that leaves the registry
+// while its caller is parked in a charge must not be counted dirty
+// when the caller resumes and commits. Env "modify" rewrites child
+// tnode c; c owns enough records that its owns-udf runs past one
+// scheduler quantum, so "modify" is preempted after looking c up and
+// before marking it dirty. Env "dealloc" then runs a whole slice and
+// removes c from the root. Nothing would ever un-count the orphan:
+// completions and Sync see live entries only.
+func TestOrphanedEntryNotCountedDirty(t *testing.T) {
+	const records = 64
+	f := newFixtureOn(t, kernel.Config{Name: "xok", MemPages: 2048, DiskSize: 4096, Quantum: 2000})
+	x := f.x
+	c, _ := x.FindFree(200, 1)
+	data, _ := x.FindFree(300, records)
+	f.run(t, "setup", func(e *kernel.Env) error {
+		if err := x.Alloc(e, f.rootBlk, tnAddRecord(0, c, 1, f.tnode),
+			udf.Extent{Start: int64(c), Count: 1, Type: int64(f.tnode)}); err != nil {
+			return err
+		}
+		if err := x.InitMetadata(e, c, make([]byte, tnRecsOff)); err != nil {
+			return err
+		}
+		for i := 0; i < records; i++ {
+			b := data + disk.BlockNo(i)
+			if err := x.Alloc(e, c, tnAddRecord(i, b, 1, f.data),
+				udf.Extent{Start: int64(b), Count: 1, Type: int64(f.data)}); err != nil {
+				return err
+			}
+			if _, err := x.AttachPage(e, b); err != nil {
+				return err
+			}
+			if err := x.MarkDirty(e, b); err != nil {
+				return err
+			}
+		}
+		return x.Sync(e)
+	})
+	if n := x.DirtyCount(); n != 0 {
+		t.Fatalf("DirtyCount %d after setup sync", n)
+	}
+	orphaned := false
+	f.k.Spawn("modify", func(e *kernel.Env) {
+		e.Creds = cap.UnixCreds(0)
+		owner := []Mod{{Off: tnOwnerOff, Bytes: []byte{0, 0, 0, 0}}}
+		if err := x.Modify(e, c, owner); err != nil {
+			t.Errorf("modify: %v", err)
+		}
+		_, live := x.Lookup(c)
+		orphaned = !live
+	})
+	f.k.Spawn("dealloc", func(e *kernel.Env) {
+		e.Creds = cap.UnixCreds(0)
+		if err := x.Dealloc(e, f.rootBlk, tnRemoveLast(1),
+			udf.Extent{Start: int64(c), Count: 1, Type: int64(f.tnode)}); err != nil {
+			t.Errorf("dealloc: %v", err)
+		}
+	})
+	f.k.Run()
+	if !orphaned {
+		t.Fatal("dealloc did not run while modify was parked; the test no longer reaches the orphan")
+	}
+	if got, want := x.DirtyCount(), len(x.DirtyBlocks()); got != want {
+		t.Errorf("DirtyCount %d, but %d live dirty blocks", got, want)
+	}
+	if err := checkIndex(x, "after orphaning"); err != nil {
+		t.Fatal(err)
 	}
 }
 

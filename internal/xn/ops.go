@@ -387,18 +387,17 @@ func (x *XN) MarkDirty(e *kernel.Env, b disk.BlockNo) error {
 }
 
 // setDirty marks an entry dirty, maintaining the dirty count and
-// triggering flush-behind when configured.
+// triggering flush-behind when configured. en may have left the
+// registry while its caller was parked in a charge; such an orphan
+// stays clean, because the count and the index hold live entries only
+// and nothing would ever un-count it.
 func (x *XN) setDirty(en *Entry) {
-	if !en.Dirty {
+	if !en.Dirty && x.reg[en.Block] == en {
 		en.Dirty = true
 		x.dirtyCount++
-		// en may have left the registry while its caller was parked
-		// in a charge; the index holds live entries only.
-		if x.reg[en.Block] == en {
-			x.dirty.add(en.Block)
-			if !en.flushing {
-				x.flushable.add(en.Block)
-			}
+		x.dirty.add(en.Block)
+		if !en.flushing {
+			x.flushable.add(en.Block)
 		}
 	}
 	x.maybeFlushBehind()

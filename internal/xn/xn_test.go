@@ -122,7 +122,13 @@ type fixture struct {
 
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
-	k := kernel.New(kernel.Config{Name: "xok", MemPages: 2048, DiskSize: 4096})
+	return newFixtureOn(t, kernel.Config{Name: "xok", MemPages: 2048, DiskSize: 4096})
+}
+
+// newFixtureOn is newFixture on a kernel built from cfg.
+func newFixtureOn(t testing.TB, cfg kernel.Config) *fixture {
+	t.Helper()
+	k := kernel.New(cfg)
 	x := New(k)
 	f := &fixture{k: k, x: x, rootName: "testfs"}
 	f.run(t, "mkfs", func(e *kernel.Env) error {
