@@ -41,13 +41,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 }
 
 func TestUnwrittenBlocksReadZero(t *testing.T) {
-	// Stats may be nil: the disk then counts nothing. The default is
-	// one spindle.
-	eng := sim.NewEngine()
-	d := New(eng, nil, 1<<20)
-	if d.Spindles() != 1 {
-		t.Fatalf("default spindles = %d", d.Spindles())
-	}
+	eng, _, d := newDisk()
 	rd := make([]byte, sim.DiskBlockSize)
 	rd[0] = 0xFF
 	d.Submit(&Request{Block: 5, Count: 1, Pages: [][]byte{rd}})

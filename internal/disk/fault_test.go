@@ -121,3 +121,17 @@ func TestCrashImageTornWrite(t *testing.T) {
 		t.Fatal("block 3 appeared although never transferred")
 	}
 }
+
+// The constructor forms that replaced the deprecated NewStriped shim:
+// nil stats are accepted, WithStriping sets the spindle count and the
+// default is one spindle.
+func TestDeprecatedConstructorsStillWork(t *testing.T) {
+	eng := sim.NewEngine()
+	d := New(eng, nil, 1024, WithStriping(4, 8))
+	if d.Spindles() != 4 {
+		t.Fatalf("spindles = %d", d.Spindles())
+	}
+	if d2 := New(eng, nil, 64); d2.Spindles() != 1 {
+		t.Fatalf("default spindles = %d", d2.Spindles())
+	}
+}
