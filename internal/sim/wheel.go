@@ -181,6 +181,14 @@ func (e *Engine) wheelAdd(n *node) bool {
 	if w.count == 0 {
 		w.reset(e.now)
 	}
+	// The clock can trail the level-0 cursor: a peek (RunUntil,
+	// TryAdvance) syncs the wheel up to the next event without popping
+	// it. A deadline in an already-flushed level-0 slot would then fit
+	// an unpulled higher-level slot whose span the cursor has partly
+	// passed, below the bound syncWheel trusts; it belongs on the heap.
+	if uint64(n.at)>>wheelShift < w.levels[0].cur {
+		return false
+	}
 	return w.place(n)
 }
 

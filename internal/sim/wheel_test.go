@@ -228,6 +228,55 @@ func TestWheelRunUntilAndAdvance(t *testing.T) {
 	}
 }
 
+// TestWheelScheduleBehindCursor: RunUntil and Step leave the clock
+// trailing the level-0 cursor (peeking syncs the wheel up to the next
+// event without popping it), and timers scheduled into that gap must
+// still fire in heap order. Each seed listed dispatched out of order
+// before wheelAdd routed behind-cursor deadlines to the heap.
+func TestWheelScheduleBehindCursor(t *testing.T) {
+	run := func(seed uint64, wheelOn bool) []wheelFire {
+		e := NewEngine()
+		e.SetWheel(wheelOn)
+		r := NewRNG(seed)
+		var fired []wheelFire
+		fire := func(a any) { fired = append(fired, wheelFire{e.Now(), a.(int)}) }
+		for id := 0; id < 200; id++ {
+			var d Time
+			switch r.Intn(4) {
+			case 0:
+				d = Time(r.Intn(wheelMinDefer))
+			case 1:
+				d = Time(wheelMinDefer + r.Intn(1<<18))
+			case 2:
+				d = Time(wheelMinDefer + r.Intn(1<<21))
+			case 3:
+				d = Time(r.Intn(1 << 24))
+			}
+			e.AfterArg(d, fire, id)
+			switch r.Intn(4) {
+			case 0:
+				e.RunUntil(e.Now() + Time(r.Intn(1<<12)))
+			case 1:
+				e.Step()
+			}
+		}
+		e.Run()
+		return fired
+	}
+	for _, seed := range []uint64{6, 418, 1123, 1533, 1596, 1, 2, 3} {
+		heapFired, wheelFired := run(seed, false), run(seed, true)
+		if len(heapFired) != len(wheelFired) {
+			t.Fatalf("seed %d: heap fired %d, wheel %d", seed, len(heapFired), len(wheelFired))
+		}
+		for i := range heapFired {
+			if heapFired[i] != wheelFired[i] {
+				t.Fatalf("seed %d: dispatch %d: heap %+v, wheel %+v",
+					seed, i, heapFired[i], wheelFired[i])
+			}
+		}
+	}
+}
+
 // TestWheelDisableDrains: turning the wheel off mid-run moves every
 // resident to the heap without disturbing order, and new far events
 // heap directly.
