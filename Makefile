@@ -52,12 +52,15 @@ perf-sanity:
 	XOK_PERF_SANITY=1 $(GO) test -run TestPerfSanity -count=1 -v .
 
 # Cluster smoke: a small topology-fabric sweep (1 server vs 2 behind
-# the balancer) end to end through the xok-bench CLI. Guards the whole
-# shared-engine path — N kernels on one event engine, the balancer,
-# open-loop arrivals — and its serial/parallel determinism (the full
-# byte-identical check lives in TestClusterParallelMatchesSerial).
+# the balancer) end to end through the xok-bench CLI, under the race
+# detector. Guards the whole shared-engine path — N kernels on one
+# event engine sharing its execution token, so every server's event
+# callbacks run on whichever environment goroutine holds it, the
+# balancer, open-loop arrivals — and its serial/parallel determinism
+# (the full byte-identical check lives in
+# TestClusterParallelMatchesSerial).
 cluster-smoke:
-	$(GO) run ./cmd/xok-bench -run cluster -servers 2 -conns 300
+	$(GO) run -race ./cmd/xok-bench -run cluster -servers 2 -conns 300
 
 # Snapshot smoke: the fork fast path's equivalence guards, re-run
 # (-count=1) under the race detector — replay equivalence (fork at a
@@ -79,7 +82,7 @@ wheel-smoke:
 
 # The full pre-commit gate: everything compiles, the tree is gofmt
 # clean, vet is clean, the whole suite passes under the race detector
-# (the token-handoff protocol in internal/sim is exactly the kind of
+# (the token-handoff protocol in internal/kernel is exactly the kind of
 # code -race exists for), the parallel harness is race-clean, the
 # crash-enumeration sweep re-runs, the differential fuzz smoke
 # campaign comes back clean, snapshot forking reproduces boot runs
@@ -89,12 +92,12 @@ wheel-smoke:
 check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke snapshot-smoke wheel-smoke perf-sanity
 
 # Wall-clock benchmark baseline, committed as BENCH_sim.json so engine
-# or harness regressions show up as a diff. Two tiers: the engine, XN
-# dirty-path and disk C-SCAN micro-benchmarks run at the default
-# benchtime (they are the ns/op + allocs/op numbers the fast paths are
-# judged on); the end-to-end experiment benchmarks (MAB, a Figure 4
-# cell, difftest serial-vs-parallel, crash serial-vs-parallel) each run
-# their full campaign once, -benchtime=1x.
+# or harness regressions show up as a diff. Two tiers: the engine,
+# kernel token-handoff, XN dirty-path and disk C-SCAN micro-benchmarks
+# run at the default benchtime (they are the ns/op + allocs/op numbers
+# the fast paths are judged on); the end-to-end experiment benchmarks
+# (MAB, a Figure 4 cell, difftest serial-vs-parallel, crash
+# serial-vs-parallel) each run their full campaign once, -benchtime=1x.
 # Raw `go test` output passes through on stderr; stdout carries the
 # JSON (see cmd/benchjson). The -expect list makes a silently vanished
 # benchmark (renamed, paniced, filtered out) fail the run instead of
@@ -104,6 +107,7 @@ BenchmarkEngineStepAfterArg16,BenchmarkEngineStepAfterArg1024,\
 BenchmarkEngineScheduleCancel,BenchmarkEngineScheduleCancelWheel,\
 BenchmarkEngineTimersHeap65536,BenchmarkEngineTimersWheel65536,\
 BenchmarkEngineTimersHeap1M,BenchmarkEngineTimersWheel1M,\
+BenchmarkKernelUseInPlace,BenchmarkKernelEnvSwitch,\
 BenchmarkXNMarkDirtyInFlight512,BenchmarkDiskPickDeepQueue,\
 BenchmarkMAB/Xok-ExOS,BenchmarkMAB/FreeBSD,\
 BenchmarkFigure4_GlobalPool1/Xok-ExOS,BenchmarkFigure4_GlobalPool1/FreeBSD,\
@@ -115,6 +119,7 @@ BenchmarkClusterSerial,BenchmarkClusterParallel4,BenchmarkClusterConns100k
 
 bench:
 	@{ $(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/sim/ && \
+	   $(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchmem ./internal/kernel/ && \
 	   $(GO) test -run '^$$' -bench 'BenchmarkXNMarkDirtyInFlight512|BenchmarkDiskPickDeepQueue' -benchmem ./internal/xn/ ./internal/disk/ && \
 	   $(GO) test -run '^$$' -bench 'BenchmarkMAB$$|BenchmarkFigure4_GlobalPool1$$|BenchmarkDifftest100|BenchmarkCrashSweep|BenchmarkCluster' -benchmem -benchtime=1x . ; } \
 	  | $(GO) run ./cmd/benchjson -expect '$(BENCH_EXPECT)' > BENCH_sim.json

@@ -144,25 +144,28 @@ var (
 )
 
 // timed wraps one experiment with a wall-clock summary: host seconds
-// spent, virtual cycles simulated, and engine events dispatched with
-// their per-host-second rate (summed across every machine the
-// experiment ran, on all workers). Events-per-host-second is the
-// simulator-throughput number a scheduling-backend change (heap vs
-// timer wheel) actually moves. The line goes to stderr so stdout —
-// the tables — stays byte-identical across runs and -parallel values.
+// spent and virtual cycles simulated, headlined as simulated cycles per
+// host second, then the engine events dispatched and the goroutine
+// switches the kernels' token handoff made (each summed across every
+// machine the experiment ran, on all workers). Cycles are the unit of
+// work: an experiment simulates the same cycles however many events
+// and switches the simulator spends on them, and those two counts say
+// where the host time went. The line goes to stderr so stdout — the
+// tables — stays byte-identical across runs and -parallel values.
 func timed(name string, fn func()) {
 	hostStart := time.Now()
 	simStart := sim.CyclesSimulated()
 	evStart := sim.EventsDispatched()
+	swStart := kernel.GoroutineSwitches()
 	fn()
 	secs := time.Since(hostStart).Seconds()
-	events := sim.EventsDispatched() - evStart
+	cycles := sim.CyclesSimulated() - simStart
 	rate := 0.0
 	if secs > 0 {
-		rate = float64(events) / secs
+		rate = float64(cycles) / secs
 	}
-	fmt.Fprintf(os.Stderr, "# %-10s %8.2fs host, %d cycles simulated, %d events (%.0f/s host)\n",
-		name, secs, sim.CyclesSimulated()-simStart, events, rate)
+	fmt.Fprintf(os.Stderr, "# %-10s %8.2fs host, %d cycles simulated (%.3g/s host), %d events, %d goroutine switches\n",
+		name, secs, cycles, rate, sim.EventsDispatched()-evStart, kernel.GoroutineSwitches()-swStart)
 }
 
 // dumpTrace flushes the tracer's output after the experiments: the

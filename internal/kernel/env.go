@@ -44,10 +44,10 @@ type Env struct {
 	// x86, Section 5.1).
 	PT *mem.PageTable
 
-	resume    chan bool
-	burst     sim.Time // CPU cycles owed before code continues
-	grant     sim.Time // size of the in-flight burn slice (see burnGrantArg)
-	cpuUsed   sim.Time // lifetime CPU consumed (accounting)
+	resume    chan bool // the token arrives here (false: killed)
+	burst     sim.Time  // CPU cycles owed before code continues
+	grant     sim.Time  // size of the in-flight burn slice (see burnGrantArg)
+	cpuUsed   sim.Time  // lifetime CPU consumed (accounting)
 	sliceLeft sim.Time
 	pred      *wkpred.Pred
 	timeout   sim.Event
@@ -84,33 +84,34 @@ func (e *Env) CPUUsed() sim.Time { return e.cpuUsed }
 // the HTTP connections 10000+.
 func (e *Env) TraceLane() int64 { return 100 + int64(e.id) }
 
-// exit terminates the environment from inside its own code: hand the
-// token back as an exit and unwind the goroutine. Spawn's recover
+// exit terminates the environment from inside its own code: give the
+// token up as an exit and unwind the goroutine. Spawn's recover
 // swallows the poison, the scheduler wakes any WaitFor-ers.
 func (e *Env) exit() {
-	e.park(parkMsg{env: e, kind: parkExit})
+	e.k.exitEnv(e)
+	e.park()
 	panic(errKilled)
-}
-
-// park hands the token to the scheduler and blocks until resumed.
-func (e *Env) park(msg parkMsg) {
-	e.k.parkCh <- msg
-	if msg.kind == parkExit {
-		return // scheduler never resumes an exited environment
-	}
-	if !<-e.resume {
-		panic(errKilled)
-	}
 }
 
 // Use charges c cycles of CPU to this environment. The scheduler burns
 // them in quantum slices, interleaved with other runnable
-// environments; the call returns when they have elapsed.
+// environments; the call returns when they have elapsed. A charge that
+// ends inside the current slice, with no cycles owed and nothing else
+// due before it ends, just moves the clock: that is exactly when the
+// burn event would have fired and resumed this code.
 func (e *Env) Use(c sim.Time) {
 	if c == 0 {
 		return
 	}
-	e.park(parkMsg{env: e, kind: parkUse, n: c})
+	k := e.k
+	if k.current == e && e.burst == 0 && c < e.sliceLeft && k.Eng.TryAdvance(c) {
+		e.cpuUsed += c
+		e.sliceLeft -= c
+		return
+	}
+	e.burst += c
+	k.step(e)
+	e.park()
 }
 
 // Syscall charges one kernel crossing plus the in-kernel work cost.
@@ -152,7 +153,8 @@ func (e *Env) LibCall(work sim.Time) {
 // Block parks the environment until another environment or a device
 // handler calls Wake.
 func (e *Env) Block() {
-	e.park(parkMsg{env: e, kind: parkBlock})
+	e.k.blockEnv(e)
+	e.park()
 }
 
 // SleepOn downloads a wakeup predicate and parks. The kernel evaluates
@@ -170,7 +172,7 @@ func (e *Env) SleepOn(p *wkpred.Pred, deadline sim.Time) {
 			e.k.kickDispatch()
 		})
 	}
-	e.park(parkMsg{env: e, kind: parkBlock})
+	e.Block()
 }
 
 // Wake makes target runnable. Callable from device completion handlers
@@ -187,7 +189,8 @@ func (k *Kernel) Wake(target *Env) {
 // A nil target is an undirected yield to the end of the run queue.
 func (e *Env) YieldTo(target *Env) {
 	e.k.Wake(target)
-	e.park(parkMsg{env: e, kind: parkYieldTo, to: target})
+	e.k.yieldEnv(e, target)
+	e.park()
 }
 
 // WaitFor blocks until target exits. Returns immediately if it is
@@ -195,7 +198,7 @@ func (e *Env) YieldTo(target *Env) {
 func (e *Env) WaitFor(target *Env) {
 	for target != nil && target.state != envDead {
 		target.exitWait = append(target.exitWait, e)
-		e.park(parkMsg{env: e, kind: parkBlock})
+		e.Block()
 	}
 }
 
@@ -215,7 +218,7 @@ func (e *Env) WaitAnyOf(targets []*Env) {
 		for _, t := range targets {
 			t.exitWait = append(t.exitWait, e)
 		}
-		e.park(parkMsg{env: e, kind: parkBlock})
+		e.Block()
 	}
 }
 
@@ -241,5 +244,5 @@ func (e *Env) Sleep(d sim.Time) {
 		e.timeout = sim.Event{}
 		e.k.makeRunnable(e)
 	})
-	e.park(parkMsg{env: e, kind: parkBlock})
+	e.Block()
 }

@@ -98,7 +98,7 @@ func Fork(s *Snapshot) *Kernel {
 		nextEnv:    s.nextEnv,
 		nextRegion: s.nextRegion,
 		envs:       make(map[EnvID]*Env),
-		parkCh:     make(chan parkMsg),
+		tok:        tokenOf(eng),
 		regions:    make(map[RegionID]*region, len(s.regions)),
 	}
 	for id, r := range s.regions {

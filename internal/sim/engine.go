@@ -55,15 +55,18 @@ type node struct {
 // event queue is the hottest host-side structure in the simulator.
 //
 // Engine is not safe for concurrent use; the simulation guarantees
-// that only one goroutine touches it at a time (the kernel's
-// token-handoff protocol, see internal/kernel). Distinct Engines are
-// fully independent and may run on concurrent goroutines — the basis
-// of the parallel harness (internal/parallel).
+// that only one goroutine touches it at a time (the kernel's execution
+// token, see internal/kernel): the goroutine holding the token runs the
+// event loop, whether it is the Run caller's or an environment's.
+// Distinct Engines are fully independent and may run on concurrent
+// goroutines — the basis of the parallel harness (internal/parallel).
 type Engine struct {
 	now     Time
+	horizon Time // last instant the Run/RunUntil in progress may reach
 	heap    []*node
 	seq     uint64
 	free    *node
+	owner   any           // see Owner
 	hook    func(at Time) // observes every fired event; nil = off
 	metered Time          // clock value already flushed to the global meter
 	wheel   *wheel        // far-future backend (wheel.go), lazily allocated
@@ -93,6 +96,15 @@ func (e *Engine) Pending() int {
 	}
 	return n
 }
+
+// Owner returns the value last passed to SetOwner: per-engine state of
+// the layer that runs code on the engine's behalf. The kernel keeps its
+// execution token here, so every machine attached to one engine finds
+// the same token.
+func (e *Engine) Owner() any { return e.owner }
+
+// SetOwner stores v for Owner.
+func (e *Engine) SetOwner(v any) { e.owner = v }
 
 // SetEventHook installs h to be called once per fired event, just
 // before its callback runs and after the clock has advanced to its
@@ -199,6 +211,26 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
+	e.fire()
+	return true
+}
+
+// StepDue is Step bounded by the horizon of the Run or RunUntil in
+// progress: it runs the next event only if it falls at or before that
+// instant. Outside a Run nothing is due. The kernel's environments
+// step the engine through it while they hold the token, so the loop
+// stops where the Run caller asked it to, on whichever goroutine is
+// running it.
+func (e *Engine) StepDue() bool {
+	if at, ok := e.peek(); !ok || at > e.horizon {
+		return false
+	}
+	e.fire()
+	return true
+}
+
+// fire pops the heap's head (the wheel already synced) and runs it.
+func (e *Engine) fire() {
 	n := e.pop()
 	e.now = n.at
 	fn, fnArg, arg := n.fn, n.fnArg, n.arg
@@ -212,7 +244,6 @@ func (e *Engine) Step() bool {
 	} else {
 		fn()
 	}
-	return true
 }
 
 // peek syncs the wheel and reports the earliest queued deadline.
@@ -226,25 +257,29 @@ func (e *Engine) peek() (Time, bool) {
 
 // Run processes events until the queue is empty.
 func (e *Engine) Run() {
-	for e.Step() {
-	}
+	e.runTo(^Time(0))
 	e.flushMeter()
 }
 
 // RunUntil processes events with timestamps <= t, then advances the
 // clock to exactly t (if it isn't already past it).
 func (e *Engine) RunUntil(t Time) {
-	for {
-		at, ok := e.peek()
-		if !ok || at > t {
-			break
-		}
-		e.Step()
-	}
+	e.runTo(t)
 	if e.now < t {
 		e.now = t
 	}
 	e.flushMeter()
+}
+
+// runTo runs every event due at or before the horizon t. A callback
+// may hand the loop to another goroutine (see StepDue); it comes back
+// once nothing is due, so the caller's own StepDue then finds nothing
+// either.
+func (e *Engine) runTo(t Time) {
+	e.horizon = t
+	for e.StepDue() {
+	}
+	e.horizon = 0
 }
 
 // Advance moves the clock forward by d without processing any events.
@@ -257,6 +292,26 @@ func (e *Engine) Advance(d Time) {
 		panic("sim: Advance would skip a pending event")
 	}
 	e.now = target
+}
+
+// TryAdvance moves the clock forward by d in place, without an event,
+// when nothing could tell the difference from an event scheduled d
+// from now: no event hook is set (it would count the event), no queued
+// event falls at or before now+d (it would fire first), and now+d is
+// within the horizon of the Run or RunUntil in progress (the loop
+// would stop before it). It reports whether the clock moved; on false
+// the caller schedules the event as usual. The kernel's Env.Use
+// charges CPU this way when nothing else is due.
+func (e *Engine) TryAdvance(d Time) bool {
+	t := e.now + d
+	if e.hook != nil || t > e.horizon {
+		return false
+	}
+	if at, ok := e.peek(); ok && at <= t {
+		return false
+	}
+	e.now = t
+	return true
 }
 
 // less orders the heap: by timestamp, then FIFO among simultaneous

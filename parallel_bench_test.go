@@ -7,6 +7,7 @@ import (
 	"xok/internal/difftest"
 	"xok/internal/fault"
 	"xok/internal/netsim"
+	"xok/internal/sim"
 	"xok/internal/workload"
 )
 
@@ -90,11 +91,14 @@ func BenchmarkClusterParallel4(b *testing.B) { benchCluster(b, 4) }
 // under 100k open-loop arrivals, offered just below the aggregate
 // service capacity so the backlog stays bounded (no 1-server baseline
 // — a single server would backlog ~all arrivals and the cell would
-// measure RTO thrash, not serving). Reports events-per-host-second,
-// the simulator-throughput number the scheduling backend moves.
+// measure RTO thrash, not serving). Reports simulated cycles per host
+// second — the unit of work, identical whatever the simulator spends
+// on it — and events per host second, the number the scheduling
+// backend moves.
 func BenchmarkClusterConns100k(b *testing.B) {
 	b.ReportAllocs()
 	var events int64
+	cycles := sim.CyclesSimulated()
 	for i := 0; i < b.N; i++ {
 		res, err := workload.Cluster(workload.ClusterConfig{
 			Servers: 4, Conns: 100_000, Rate: 4000,
@@ -109,6 +113,7 @@ func BenchmarkClusterConns100k(b *testing.B) {
 		events += res.EngineEvents
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(sim.CyclesSimulated()-cycles)/secs, "cycles/s")
 		b.ReportMetric(float64(events)/secs, "events/s")
 	}
 }
