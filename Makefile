@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race crash fuzz-smoke race-parallel perf-sanity cluster-smoke snapshot-smoke wheel-smoke check bench
+.PHONY: all build fmt vet test race crash fuzz-smoke race-parallel perf-sanity cluster-smoke snapshot-smoke wheel-smoke perfbench-check check bench
 
 all: check
 
@@ -80,6 +80,19 @@ snapshot-smoke:
 wheel-smoke:
 	XOK_WHEEL_SMOKE=1 $(GO) test -race -count=1 -run TestClusterConns100kWheelDigest -v ./internal/workload/
 
+# Perfbench check: vet and test the perfbench module. It uses this
+# module's packages through a replace directive, and the root
+# `go test ./...` never compiles it, so an API change that breaks the
+# repository benchmark surfaces here rather than at benchmark time.
+# Offline and self-contained like perfbench/run.py: every Go cache and
+# setting lives under .bench_build/, and vet/test write no binary into
+# perfbench/.
+PERFBENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/go-cache GOPATH=$(CURDIR)/.bench_build/gopath \
+	XDG_CONFIG_HOME=$(CURDIR)/.bench_build/config GOTOOLCHAIN=local GOFLAGS= GOWORK=off GOPROXY=off
+
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test ./...
+
 # The full pre-commit gate: everything compiles, the tree is gofmt
 # clean, vet is clean, the whole suite passes under the race detector
 # (the token-handoff protocol in internal/kernel is exactly the kind of
@@ -87,9 +100,10 @@ wheel-smoke:
 # crash-enumeration sweep re-runs, the differential fuzz smoke
 # campaign comes back clean, snapshot forking reproduces boot runs
 # bit-exactly, the 100k-connection cluster digests identically with
-# the timer wheel on and off, and the parallel harness is not slower
-# than serial.
-check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke snapshot-smoke wheel-smoke perf-sanity
+# the timer wheel on and off, the parallel harness is not slower than
+# serial, and the perfbench module still builds and passes against this
+# module's API.
+check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke snapshot-smoke wheel-smoke perf-sanity perfbench-check
 
 # Wall-clock benchmark baseline, committed as BENCH_sim.json so engine
 # or harness regressions show up as a diff. Two tiers: the engine,

@@ -14,17 +14,11 @@ import (
 	"fmt"
 	"testing"
 
-	"xok/internal/apps"
-	"xok/internal/bsdos"
-	"xok/internal/cap"
 	"xok/internal/core"
-	"xok/internal/exos"
 	"xok/internal/httpd"
-	"xok/internal/kernel"
 	"xok/internal/machine"
 	"xok/internal/ostest"
 	"xok/internal/sim"
-	"xok/internal/unix"
 	"xok/internal/workload"
 )
 
@@ -32,20 +26,12 @@ import (
 // lcc-install workload on the four systems. Reported metric:
 // virtual seconds of total workload time per system.
 func BenchmarkFigure2_IOIntensive(b *testing.B) {
-	systems := []struct {
-		name string
-		mk   func() workload.Machine
-	}{
-		{"Xok-ExOS", workload.NewXok},
-		{"OpenBSD-CFFS", func() workload.Machine { return workload.NewBSD(bsdos.OpenBSDCFFS) }},
-		{"OpenBSD", func() workload.Machine { return workload.NewBSD(bsdos.OpenBSD) }},
-		{"FreeBSD", func() workload.Machine { return workload.NewBSD(bsdos.FreeBSD) }},
-	}
-	for _, s := range systems {
-		b.Run(s.name, func(b *testing.B) {
+	names := []string{"Xok-ExOS", "OpenBSD-CFFS", "OpenBSD", "FreeBSD"}
+	for n, cfg := range workload.SystemConfigs() {
+		b.Run(names[n], func(b *testing.B) {
 			var total sim.Time
 			for i := 0; i < b.N; i++ {
-				res, err := workload.IOIntensive(s.mk())
+				res, err := workload.IOIntensive(machine.MustNew(cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -58,18 +44,11 @@ func BenchmarkFigure2_IOIntensive(b *testing.B) {
 
 // BenchmarkMAB regenerates the Modified Andrew Benchmark totals.
 func BenchmarkMAB(b *testing.B) {
-	systems := []struct {
-		name string
-		mk   func() workload.Machine
-	}{
-		{"Xok-ExOS", workload.NewXok},
-		{"FreeBSD", func() workload.Machine { return workload.NewBSD(bsdos.FreeBSD) }},
-	}
-	for _, s := range systems {
+	for _, s := range figure45Systems {
 		b.Run(s.name, func(b *testing.B) {
 			var total sim.Time
 			for i := 0; i < b.N; i++ {
-				res, err := workload.MAB(s.mk())
+				res, err := workload.MAB(machine.MustNew(machine.Config{Personality: s.p}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -80,11 +59,20 @@ func BenchmarkMAB(b *testing.B) {
 	}
 }
 
+// figure45Systems are the two systems MAB and Figures 4/5 compare.
+var figure45Systems = []struct {
+	name string
+	p    machine.Personality
+}{
+	{"Xok-ExOS", machine.XokExOS},
+	{"FreeBSD", machine.FreeBSD},
+}
+
 // BenchmarkProtectionCost regenerates Section 6.3: runtime and
 // syscall-count deltas between protected and unprotected Xok/ExOS.
 func BenchmarkProtectionCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := workload.ProtectionCost()
+		res, err := (&core.Bench{}).ProtectionCost()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,133 +118,36 @@ func BenchmarkTable2_Pipes(b *testing.B) {
 // BenchmarkEmulatorGetpid regenerates Section 7.1: the trivial system
 // call natively on OpenBSD vs emulated on Xok/ExOS.
 func BenchmarkEmulatorGetpid(b *testing.B) {
-	b.Run("OpenBSD-native", func(b *testing.B) {
-		var cycles sim.Time
-		for i := 0; i < b.N; i++ {
-			m := machine.MustNew(machine.Config{Personality: machine.OpenBSD})
-			cycles = ostest.GetpidCost(machine.Runner(m))
-		}
-		b.ReportMetric(float64(cycles), "vcycles/call")
-	})
-	b.Run("Xok-emulated", func(b *testing.B) {
-		var cycles sim.Time
-		for i := 0; i < b.N; i++ {
-			m := machine.MustNew(machine.Config{Personality: machine.XokExOS})
-			cycles = ostest.GetpidCost(func(fn func(unix.Proc)) {
-				m.SpawnProc("t", 0, func(p unix.Proc) {
-					fn(wrapEmulated{p})
-				})
-				m.Run()
-			})
-		}
-		b.ReportMetric(float64(cycles), "vcycles/call")
-	})
-}
-
-// wrapEmulated adds the INT-reroute cost to getpid, mirroring
-// internal/emu without the import cycle risk in this harness.
-type wrapEmulated struct{ unix.Proc }
-
-func (w wrapEmulated) Getpid() int {
-	w.Compute(12)
-	return w.Proc.Getpid()
+	for leg, name := range []string{"OpenBSD-native", "Xok-emulated"} {
+		b.Run(name, func(b *testing.B) {
+			var cycles [2]sim.Time
+			for i := 0; i < b.N; i++ {
+				res, err := (&core.Bench{}).Emulator()
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles = [2]sim.Time{res.Native, res.Emulated}
+			}
+			b.ReportMetric(float64(cycles[leg]), "vcycles/call")
+		})
+	}
 }
 
 // BenchmarkXCP regenerates Section 7.2: cp vs XCP, warm and cold.
 func BenchmarkXCP(b *testing.B) {
-	for _, cold := range []bool{false, true} {
-		name := "InCore"
-		if cold {
-			name = "OnDisk"
-		}
+	for row, name := range []string{"InCore", "OnDisk"} {
 		b.Run(name, func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				cpT, xcpT := xcpPair(b, cold)
-				ratio = float64(cpT) / float64(xcpT)
+				rows, err := (&core.Bench{}).XCP()
+				if err != nil {
+					b.Fatal(err)
+				}
+				ratio = rows[row].Speedup()
 			}
 			b.ReportMetric(ratio, "cp/xcp-speedup")
 		})
 	}
-}
-
-// xcpPair stages fragmented files on fresh machines and copies them
-// with cp and with XCP, returning both elapsed virtual times.
-func xcpPair(b *testing.B, cold bool) (cpT, xcpT sim.Time) {
-	b.Helper()
-	const n, size = 8, 400_000
-	stage := func() (*exos.System, [][2]string) {
-		s := machine.MustNew(machine.Config{Personality: machine.XokExOS}).(machine.Xok).S
-		pairs := make([][2]string, n)
-		s.Spawn("stage", 0, func(p unix.Proc) {
-			fds := make([]unix.FD, n)
-			for i := range fds {
-				fd, err := p.Create(fmt.Sprintf("/s%d", i), 6)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				fds[i] = fd
-				pairs[i] = [2]string{fmt.Sprintf("/s%d", i), fmt.Sprintf("/d%d", i)}
-			}
-			chunk := make([]byte, sim.DiskBlockSize)
-			for off := 0; off < size; off += len(chunk) {
-				for i := range fds {
-					if _, err := p.Write(fds[i], chunk); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}
-			for _, fd := range fds {
-				p.Close(fd)
-			}
-			if err := p.Sync(); err != nil {
-				b.Error(err)
-			}
-		})
-		s.Run()
-		if cold {
-			s.K.Spawn("evict", func(e *kernel.Env) {
-				e.Creds = cap.UnixCreds(0)
-				for {
-					if _, ok := s.X.RecycleLRU(e); !ok {
-						return
-					}
-				}
-			})
-			s.Run()
-		}
-		return s, pairs
-	}
-
-	sc, pairsC := stage()
-	start := sc.Now()
-	var end sim.Time
-	sc.Spawn("cp", 0, func(p unix.Proc) {
-		for _, pr := range pairsC {
-			if err := apps.Cp(p, pr[0], pr[1]); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-		end = p.Now()
-	})
-	sc.Run()
-	cpT = end - start
-
-	sx, pairsX := stage()
-	start = sx.Now()
-	sx.K.Spawn("xcp", func(e *kernel.Env) {
-		e.Creds = cap.UnixCreds(0)
-		if err := apps.XCP(e, sx.FS, pairsX); err != nil {
-			b.Error(err)
-		}
-		end = sx.Now()
-	})
-	sx.Run()
-	xcpT = end - start
-	return
 }
 
 // BenchmarkFigure3_HTTP regenerates Figure 3 at two representative
@@ -283,29 +174,22 @@ func BenchmarkFigure3_HTTP(b *testing.B) {
 // BenchmarkFigure4_GlobalPool1 regenerates a Figure 4 cell (14 jobs,
 // concurrency 2) on Xok/ExOS and FreeBSD.
 func BenchmarkFigure4_GlobalPool1(b *testing.B) {
-	benchGlobal(b, core.Pool1())
+	benchGlobal(b, workload.Pool1())
 }
 
 // BenchmarkFigure5_GlobalPool2 regenerates a Figure 5 cell on the
 // pool with C-FFS-favoured jobs.
 func BenchmarkFigure5_GlobalPool2(b *testing.B) {
-	benchGlobal(b, core.Pool2())
+	benchGlobal(b, workload.Pool2())
 }
 
 func benchGlobal(b *testing.B, pool []workload.JobKind) {
-	systems := []struct {
-		name string
-		mk   func() workload.Machine
-	}{
-		{"Xok-ExOS", workload.NewXok},
-		{"FreeBSD", func() workload.Machine { return workload.NewBSD(bsdos.FreeBSD) }},
-	}
-	for _, s := range systems {
+	for _, s := range figure45Systems {
 		b.Run(s.name, func(b *testing.B) {
 			var res workload.GlobalResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = workload.GlobalPerf(s.mk(), pool, 14, 2, 1234)
+				res, err = workload.GlobalPerf(machine.MustNew(machine.Config{Personality: s.p}), pool, 14, 2, 1234)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -22,7 +22,6 @@ import (
 	"log"
 
 	"xok/internal/cap"
-	"xok/internal/core"
 	"xok/internal/disk"
 	"xok/internal/exos"
 	"xok/internal/kernel"
@@ -56,7 +55,7 @@ const ownsNothing = "li r0, 0\nret r0"
 const blockSize = "li r0, 4096\nret r0"
 
 func main() {
-	sys := core.BootXokWith(exos.Config{})
+	sys := exos.Boot(exos.Config{})
 
 	x := sys.X
 	var logRoot disk.BlockNo

@@ -423,7 +423,7 @@ func (p *Proc) Sync() error {
 // Pipe traps and allocates the kernel pipe object.
 func (p *Proc) Pipe() (unix.FD, unix.FD, error) {
 	p.e.Syscall(800)
-	pi := &bsdPipe{s: p.s, buf: make([]byte, pipeCapacity), readers: 1, writers: 1}
+	pi := &bsdPipe{s: p.s, buf: make([]byte, unix.PipeCapacity), readers: 1, writers: 1}
 	r := p.allocFD(&file{kind: kindPipeR, pipe: pi})
 	w := p.allocFD(&file{kind: kindPipeW, pipe: pi})
 	return r, w, nil

@@ -6,13 +6,6 @@ import (
 	"xok/internal/unix"
 )
 
-// bsdPipe is the in-kernel 4.4BSD pipe: every transfer is a system
-// call that copies between the user buffer and a kernel buffer, and
-// blocking goes through the kernel sleep queue (tsleep/wakeup), which
-// costs a full reschedule. Table 2 reports 34 us / 160 us for the 1-B
-// and 8-KB latencies on OpenBSD.
-const pipeCapacity = 16384
-
 // costPipeWakeup is the tsleep/wakeup + scheduler-queue overhead per
 // blocking handoff, beyond the generic context switch.
 const costPipeWakeup = 8 * sim.Microsecond
@@ -21,6 +14,11 @@ const costPipeWakeup = 8 * sim.Microsecond
 // unix.ErrPipe, shared across personalities).
 var ErrPipeClosed = unix.ErrPipe
 
+// bsdPipe is the in-kernel 4.4BSD pipe: every transfer is a system
+// call that copies between the user buffer and a kernel buffer, and
+// blocking goes through the kernel sleep queue (tsleep/wakeup), which
+// costs a full reschedule. Table 2 reports 34 us / 160 us for the 1-B
+// and 8-KB latencies on OpenBSD.
 type bsdPipe struct {
 	s *System
 
@@ -57,7 +55,7 @@ func (p *bsdPipe) write(e *kernel.Env, data []byte) (int, error) {
 		if p.rClosed() {
 			return n, ErrPipeClosed
 		}
-		space := pipeCapacity - int(p.count)
+		space := unix.PipeCapacity - int(p.count)
 		if space == 0 {
 			p.writerWaiting = e
 			e.Use(costPipeWakeup)
@@ -75,11 +73,11 @@ func (p *bsdPipe) write(e *kernel.Env, data []byte) (int, error) {
 		// Copy user -> kernel buffer.
 		for c := chunk; c > 0; {
 			seg := c
-			if p.wpos+seg > pipeCapacity {
-				seg = pipeCapacity - p.wpos
+			if p.wpos+seg > unix.PipeCapacity {
+				seg = unix.PipeCapacity - p.wpos
 			}
 			copy(p.buf[p.wpos:], data[n:n+seg])
-			p.wpos = (p.wpos + seg) % pipeCapacity
+			p.wpos = (p.wpos + seg) % unix.PipeCapacity
 			c -= seg
 			n += seg
 		}
@@ -114,11 +112,11 @@ func (p *bsdPipe) read(e *kernel.Env, buf []byte) (int, error) {
 	// Copy kernel buffer -> user.
 	for c, off := chunk, 0; c > 0; {
 		seg := c
-		if p.rpos+seg > pipeCapacity {
-			seg = pipeCapacity - p.rpos
+		if p.rpos+seg > unix.PipeCapacity {
+			seg = unix.PipeCapacity - p.rpos
 		}
 		copy(buf[off:off+seg], p.buf[p.rpos:])
-		p.rpos = (p.rpos + seg) % pipeCapacity
+		p.rpos = (p.rpos + seg) % unix.PipeCapacity
 		c -= seg
 		off += seg
 	}

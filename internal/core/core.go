@@ -1,23 +1,20 @@
 // Package core is the top-level facade of the exokernel reproduction:
-// one entry point to boot simulated machines (Xok/ExOS and the BSD
-// models) and to run every experiment from the paper's evaluation —
-// Figure 2 / Table 1 (the I/O-intensive workload), the Modified Andrew
-// Benchmark, the Section 6.3 cost-of-protection measurement, Table 2
-// (pipe latencies), the Section 7.1 emulator and 7.2 XCP results,
-// Figure 3 (HTTP throughput), and Figures 4 and 5 (global
+// one entry point to boot a simulated Xok/ExOS machine and, through
+// Bench, the one driver of every experiment in the paper's evaluation
+// — Figure 2 / Table 1 (the I/O-intensive workload), the Modified
+// Andrew Benchmark, the Section 6.3 cost-of-protection measurement,
+// Table 2 (pipe latencies), the Section 7.1 emulator and 7.2 XCP
+// results, Figure 3 (HTTP throughput), and Figures 4 and 5 (global
 // performance).
 //
-// The examples and cmd/xok-bench are built on this package; each
-// experiment returns plain result structs so callers can format or
-// assert on them.
+// The examples, the root benchmarks and cmd/xok-bench are built on
+// this package; each experiment returns plain result structs so
+// callers can format or assert on them.
 package core
 
 import (
-	"xok/internal/bsdos"
 	"xok/internal/exos"
-	"xok/internal/httpd"
 	"xok/internal/sim"
-	"xok/internal/workload"
 )
 
 // BootXok boots a Xok/ExOS machine with protection on (the paper's
@@ -26,50 +23,11 @@ func BootXok() *exos.System {
 	return exos.Boot(exos.Config{Protect: true})
 }
 
-// BootXokWith boots a Xok/ExOS machine with explicit options.
-func BootXokWith(cfg exos.Config) *exos.System { return exos.Boot(cfg) }
-
-// BootBSD boots one of the monolithic comparison systems.
-func BootBSD(v bsdos.Variant) *bsdos.System {
-	return bsdos.Boot(v, bsdos.Config{})
-}
-
-// RunFigure2 executes the I/O-intensive lcc-install workload (Table 1)
-// on the four systems of Figure 2, in the paper's order. (The Run*
-// functions are serial, untraced conveniences; Bench adds a worker
-// pool and a trace sink with identical results.)
-func RunFigure2() ([]workload.IOResult, error) {
-	return (&Bench{}).Figure2()
-}
-
-// RunMAB executes the Modified Andrew Benchmark on the four systems.
-func RunMAB() ([]workload.MABResult, error) {
-	return (&Bench{}).MAB()
-}
-
-// RunProtectionCost executes the Section 6.3 experiment.
-func RunProtectionCost() (workload.ProtectionResult, error) {
-	return (&Bench{}).ProtectionCost()
-}
-
 // Table2Row is one pipe implementation's latencies.
 type Table2Row struct {
 	Impl   string
 	Lat1B  sim.Time
 	Lat8KB sim.Time
-}
-
-// RunTable2 measures the three pipe implementations of Table 2:
-// shared-memory ExOS pipes, protected ExOS pipes (software regions +
-// wakeup predicates), and OpenBSD's in-kernel pipes.
-func RunTable2() ([]Table2Row, error) {
-	return (&Bench{}).Table2()
-}
-
-// RunFigure3 measures HTTP throughput for all five servers across the
-// document sizes of Figure 3.
-func RunFigure3(clients int, duration sim.Time) ([]httpd.Result, error) {
-	return (&Bench{}).Figure3(clients, duration)
 }
 
 // GlobalCell is one number/number cell of Figures 4 and 5.
@@ -82,19 +40,3 @@ type GlobalCell struct {
 func Figure45Cells() []GlobalCell {
 	return []GlobalCell{{7, 1}, {14, 2}, {21, 3}, {28, 4}, {35, 5}}
 }
-
-// RunGlobal runs one global-performance cell on both Xok/ExOS and
-// FreeBSD (the figures' two systems), with the identical seed.
-func RunGlobal(pool []workload.JobKind, cell GlobalCell, seed uint64) (xok, fbsd workload.GlobalResult, err error) {
-	rows, err := (&Bench{}).GlobalSweep(pool, []GlobalCell{cell}, seed)
-	if err != nil {
-		return
-	}
-	return rows[0][0], rows[0][1], nil
-}
-
-// Pool1 re-exports Figure 4's job mix.
-func Pool1() []workload.JobKind { return workload.Pool1() }
-
-// Pool2 re-exports Figure 5's job mix.
-func Pool2() []workload.JobKind { return workload.Pool2() }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xok/internal/sim"
+	"xok/internal/workload"
 )
 
 func TestTable2PipeShape(t *testing.T) {
@@ -13,7 +14,7 @@ func TestTable2PipeShape(t *testing.T) {
 	// three converge, with the user-level pipes still at or below
 	// OpenBSD ("even with gratuitous use of Xok's protection
 	// mechanisms, user-level pipes can still outperform OpenBSD").
-	rows, err := RunTable2()
+	rows, err := (&Bench{}).Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +65,13 @@ func TestBootHelpers(t *testing.T) {
 	if cells := Figure45Cells(); len(cells) != 5 || cells[4].TotalJobs != 35 {
 		t.Fatal("figure 4/5 cells wrong")
 	}
-	if len(Pool1()) != 9 || len(Pool2()) != 5 {
+	if len(workload.Pool1()) != 9 || len(workload.Pool2()) != 5 {
 		t.Fatal("pool sizes wrong")
 	}
 }
 
 func TestRunFigure3Smoke(t *testing.T) {
-	results, err := RunFigure3(8, 50*sim.Millisecond)
+	results, err := (&Bench{}).Figure3(8, 50*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +86,11 @@ func TestRunFigure3Smoke(t *testing.T) {
 }
 
 func TestRunGlobalSmoke(t *testing.T) {
-	xok, fbsd, err := RunGlobal(Pool1(), GlobalCell{TotalJobs: 4, MaxConc: 2}, 7)
+	rows, err := (&Bench{}).GlobalSweep(workload.Pool1(), []GlobalCell{{TotalJobs: 4, MaxConc: 2}}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	xok, fbsd := rows[0][0], rows[0][1]
 	if xok.Total == 0 || fbsd.Total == 0 {
 		t.Fatalf("empty results: %+v %+v", xok, fbsd)
 	}
@@ -101,25 +103,52 @@ func TestRunFigure2AndMABSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	f2, err := RunFigure2()
+	b := &Bench{}
+	f2, err := b.Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f2) != 4 || len(f2[0].Steps) != 11 {
 		t.Fatalf("figure 2 shape: %d systems, %d steps", len(f2), len(f2[0].Steps))
 	}
-	mab, err := RunMAB()
+	mab, err := b.MAB()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(mab) != 4 || len(mab[0].Phases) != 5 {
 		t.Fatalf("MAB shape: %d systems, %d phases", len(mab), len(mab[0].Phases))
 	}
-	pc, err := RunProtectionCost()
+	pc, err := b.ProtectionCost()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pc.WithProtection.Total <= pc.WithoutProtection.Total {
 		t.Fatal("protection result inverted")
+	}
+}
+
+// TestEmulatorAndXCPShape: Section 7.1's emulated getpid beats the
+// native OpenBSD call, and Section 7.2's XCP beats cp in core and on
+// disk.
+func TestEmulatorAndXCPShape(t *testing.T) {
+	b := &Bench{}
+	em, err := b.Emulator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(em.Emulated < em.Native) {
+		t.Errorf("getpid: emulated %d cycles, native %d: emulation should win", em.Emulated, em.Native)
+	}
+	rows, err := b.XCP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Cold || !rows[1].Cold {
+		t.Fatalf("XCP rows = %+v, want in core then on disk", rows)
+	}
+	for _, r := range rows {
+		if r.Speedup() < 3 {
+			t.Errorf("cold=%v: cp %v, xcp %v, speedup %.1fx, want >= 3x", r.Cold, r.Cp, r.XCP, r.Speedup())
+		}
 	}
 }

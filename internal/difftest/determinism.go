@@ -39,7 +39,7 @@ func fuzzDeterminism(o *Options) (*Divergence, error) {
 		seed := o.BaseSeed + uint64(i)
 		steps := Generate(seed, o.Steps)
 		keep := allSteps(len(steps))
-		for _, pers := range o.Personalities {
+		for _, pers := range machine.Personalities() {
 			div, err := o.determinismOnce(pers, seed, steps, keep)
 			if err != nil || div != nil {
 				return seedResult{div, pers, err}

@@ -47,8 +47,6 @@ type Options struct {
 	Steps int
 	// BaseSeed offsets the seed sequence (seed i = BaseSeed + i).
 	BaseSeed uint64
-	// Personalities under test; nil = machine.Personalities().
-	Personalities []machine.Personality
 	// Faults switches to determinism mode: instead of comparing
 	// personalities against each other (whose syscall counts differ, so
 	// a kill-at-Nth fault would fire at different program points), each
@@ -105,9 +103,6 @@ func (o Options) Defaults() Options {
 	}
 	if o.BaseSeed == 0 {
 		o.BaseSeed = 1
-	}
-	if len(o.Personalities) == 0 {
-		o.Personalities = machine.Personalities()
 	}
 	if o.DiskBlocks == 0 {
 		o.DiskBlocks = 16384
@@ -198,10 +193,6 @@ func errno(err error) string {
 // the program (removed by shrinking, or never generated): far outside
 // any real table, so every personality answers EBADF.
 const badFD = unix.FD(1 << 30)
-
-// pipeCapacity mirrors the (identical) exos and bsdos ring sizes; the
-// executor models pipe fill with it to skip would-block operations.
-const pipeCapacity = 16384
 
 // pipeModel tracks one pipe's executor-side state. Because a program
 // is a single process holding both ends, an operation that would block
@@ -306,7 +297,7 @@ func (st *execState) step(p unix.Proc, s Step) string {
 		return fmt.Sprintf("%d,%s,h=%x", n, errno(err), fnv1a(0, buf[:n]))
 	case OpWrite:
 		if pm := st.pipes[s.FD]; pm != nil && st.wEnd[s.FD] &&
-			pm.rOpen && s.Size > pipeCapacity-pm.fill {
+			pm.rOpen && s.Size > unix.PipeCapacity-pm.fill {
 			return "SKIP(would block)"
 		}
 		buf := st.scratch(s.Size)
@@ -531,14 +522,14 @@ func (o *Options) finishProgram(m machine.Machine, persName string, steps []Step
 // clone of the campaign's fault plan, so forks resume both exactly
 // where boot left them. The returned func releases every snapshot.
 func (o *Options) bootSnapshots() (func(), error) {
-	o.snaps = make(map[machine.Personality]*machine.Snapshot, len(o.Personalities))
+	o.snaps = make(map[machine.Personality]*machine.Snapshot)
 	release := func() {
 		for _, sn := range o.snaps {
 			sn.Release()
 		}
 		o.snaps = nil
 	}
-	for _, pers := range o.Personalities {
+	for _, pers := range machine.Personalities() {
 		var tr *trace.Tracer
 		var plan *fault.Plan
 		if o.Faults != nil {
@@ -724,7 +715,7 @@ func (o *Options) diffOnce(seed uint64, steps []Step, keep []int) (*Divergence, 
 	var ref *Result
 	var refName string
 	prefixes := stepPrefixes(steps, keep)
-	for _, pers := range o.Personalities {
+	for _, pers := range machine.Personalities() {
 		name := pers.String()
 		var res *Result
 		if sn := o.snaps[pers]; sn != nil {
@@ -762,7 +753,7 @@ func (o *Options) diffOnce(seed uint64, steps []Step, keep []int) (*Divergence, 
 // and attaches the replay token.
 func (o *Options) shrinkDivergence(seed uint64, steps []Step, div *Divergence) (*Divergence, error) {
 	var persA, persB machine.Personality
-	for _, p := range o.Personalities {
+	for _, p := range machine.Personalities() {
 		if p.String() == div.A {
 			persA = p
 		}
@@ -810,7 +801,7 @@ func Replay(token string, opt Options) (*Divergence, error) {
 	}
 	steps := Generate(seed, n)
 	if o.Faults != nil {
-		for _, pers := range o.Personalities {
+		for _, pers := range machine.Personalities() {
 			div, err := o.determinismOnce(pers, seed, steps, keep)
 			if err != nil || div != nil {
 				if div != nil {

@@ -22,8 +22,6 @@ import (
 //
 // Both use directed yields for the handoff.
 
-const pipeCapacity = 16384
-
 // ErrPipeClosed reports a write to a pipe with no reader (the
 // canonical unix.ErrPipe, shared across personalities).
 var ErrPipeClosed = unix.ErrPipe
@@ -55,10 +53,10 @@ func (p *pipe) wClosed() bool { return p.writers == 0 }
 func newPipe(s *System, e *kernel.Env, shared bool) *pipe {
 	p := &pipe{s: s, shared: shared, readers: 1, writers: 1}
 	if shared {
-		p.buf = make([]byte, pipeCapacity)
+		p.buf = make([]byte, unix.PipeCapacity)
 		e.LibCall(sim.CopyCost(64)) // set up the shared mapping
 	} else {
-		p.region = e.RegionCreate(pipeCapacity, cap.Root(true))
+		p.region = e.RegionCreate(unix.PipeCapacity, cap.Root(true))
 		pr, err := wkpred.Compile(wkpred.Cmp(wkpred.GT, wkpred.Load(&p.count), wkpred.Const(0)))
 		if err != nil {
 			panic("exos: pipe predicate: " + err.Error())
@@ -73,8 +71,8 @@ func newPipe(s *System, e *kernel.Env, shared bool) *pipe {
 func (p *pipe) moveIn(e *kernel.Env, src []byte) {
 	for len(src) > 0 {
 		seg := len(src)
-		if p.wpos+seg > pipeCapacity {
-			seg = pipeCapacity - p.wpos
+		if p.wpos+seg > unix.PipeCapacity {
+			seg = unix.PipeCapacity - p.wpos
 		}
 		if p.shared {
 			copy(p.buf[p.wpos:], src[:seg])
@@ -86,7 +84,7 @@ func (p *pipe) moveIn(e *kernel.Env, src []byte) {
 				panic("exos: pipe region write: " + err.Error())
 			}
 		}
-		p.wpos = (p.wpos + seg) % pipeCapacity
+		p.wpos = (p.wpos + seg) % unix.PipeCapacity
 		src = src[seg:]
 	}
 }
@@ -95,8 +93,8 @@ func (p *pipe) moveIn(e *kernel.Env, src []byte) {
 func (p *pipe) moveOut(e *kernel.Env, dst []byte) {
 	for len(dst) > 0 {
 		seg := len(dst)
-		if p.rpos+seg > pipeCapacity {
-			seg = pipeCapacity - p.rpos
+		if p.rpos+seg > unix.PipeCapacity {
+			seg = unix.PipeCapacity - p.rpos
 		}
 		if p.shared {
 			copy(dst[:seg], p.buf[p.rpos:])
@@ -108,7 +106,7 @@ func (p *pipe) moveOut(e *kernel.Env, dst []byte) {
 				panic("exos: pipe region read: " + err.Error())
 			}
 		}
-		p.rpos = (p.rpos + seg) % pipeCapacity
+		p.rpos = (p.rpos + seg) % unix.PipeCapacity
 		dst = dst[seg:]
 	}
 }
@@ -122,7 +120,7 @@ func (p *pipe) write(e *kernel.Env, data []byte) (int, error) {
 		if p.rClosed() {
 			return n, ErrPipeClosed
 		}
-		space := pipeCapacity - int(p.count)
+		space := unix.PipeCapacity - int(p.count)
 		if space == 0 {
 			// Queue full: the reader must do work — yield to it, or
 			// block until a read drains the queue.

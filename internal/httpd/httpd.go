@@ -297,19 +297,3 @@ func makeHandler(kind Kind, fs *cffs.FS) netsim.Handler {
 
 // Figure3Sizes are the x-axis document sizes.
 var Figure3Sizes = []int{0, 100, 1024, 10240, 102400}
-
-// Figure3 measures every server at every size, serially and untraced
-// (core.Bench.Figure3 is the parallel, traceable entry point).
-func Figure3(clients int, duration sim.Time) ([]Result, error) {
-	var out []Result
-	for _, kind := range Kinds() {
-		for _, size := range Figure3Sizes {
-			r, err := Measure(kind, size, Opts{Clients: clients, Duration: duration})
-			if err != nil {
-				return nil, fmt.Errorf("%v@%d: %w", kind, size, err)
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}

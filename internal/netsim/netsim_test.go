@@ -34,6 +34,15 @@ func newPair(k *kernel.Kernel) *pair {
 	return p
 }
 
+// lossPlan drops roughly one in rate segments on every hop, both
+// directions (nil = lossless).
+func lossPlan(rate int) *fault.Plan {
+	if rate == 0 {
+		return nil
+	}
+	return &fault.Plan{Seed: 1, LossRate: rate}
+}
+
 // pool prepares closed-loop clients against the server.
 func (p *pair) pool(clients, docSize int, stopAt sim.Time) *ClientPool {
 	return p.NewClientPool(p.client, p.server, clients, docSize, stopAt)
@@ -189,9 +198,8 @@ func TestLossRecoveredByRetransmission(t *testing.T) {
 	// With ~3% data-segment loss, every request must still complete —
 	// go-back-N retransmission out of the retransmission pool fills
 	// the holes.
-	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
+	k := kernel.New(kernel.Config{Name: "net", MemPages: 512, Faults: lossPlan(32)})
 	n := newPair(k)
-	n.LossRate = 32
 	dur := 2 * sim.CPUHz / 5 * sim.Time(1) // 400 ms
 	stop := k.Now() + dur
 	pool := n.pool(6, 20000, stop)
@@ -214,9 +222,8 @@ func TestLossRecoveredByRetransmission(t *testing.T) {
 
 func TestLossReducesThroughput(t *testing.T) {
 	measure := func(loss int) int {
-		k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
+		k := kernel.New(kernel.Config{Name: "net", MemPages: 512, Faults: lossPlan(loss)})
 		n := newPair(k)
-		n.LossRate = loss
 		stop := k.Now() + 200*sim.Millisecond
 		pool := n.pool(8, 10000, stop)
 		k.Spawn("server", func(e *kernel.Env) {
@@ -270,13 +277,12 @@ func TestBidirectionalLossRecovered(t *testing.T) {
 }
 
 func TestClientSideLossRecovered(t *testing.T) {
-	// Legacy LossRate now applies to client->server segments too: under
-	// harsh symmetric loss (one in six frames) the handshake itself
-	// fails constantly, and only the client retransmission timer keeps
-	// connections alive.
-	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
+	// The fault plan's loss applies to client->server segments too:
+	// under harsh symmetric loss (one in six frames) the handshake
+	// itself fails constantly, and only the client retransmission timer
+	// keeps connections alive.
+	k := kernel.New(kernel.Config{Name: "net", MemPages: 512, Faults: lossPlan(6)})
 	n := newPair(k)
-	n.LossRate = 6
 	stop := k.Now() + 400*sim.Millisecond
 	pool := n.pool(4, 5000, stop)
 	k.Spawn("server", func(e *kernel.Env) {

@@ -7,18 +7,6 @@ import (
 	"xok/internal/trace"
 )
 
-// Arrival selects the open-loop arrival process.
-type Arrival int
-
-// The arrival processes.
-const (
-	// ArrivalPoisson spaces arrivals exponentially around the mean
-	// rate (memoryless offered load, the default).
-	ArrivalPoisson Arrival = iota
-	// ArrivalUniform spaces arrivals exactly 1/rate apart.
-	ArrivalUniform
-)
-
 // RequestClass is one stratum of an open-loop workload mix: a name
 // (its latency series appears as "http.<Name>"), a document size, and
 // a selection weight.
@@ -40,20 +28,14 @@ type OpenLoopConfig struct {
 
 	// Conns is the total number of connection arrivals.
 	Conns int
-	// Rate is the mean arrival rate per virtual second.
+	// Rate is the mean arrival rate per virtual second; arrivals are
+	// Poisson, spaced exponentially around it.
 	Rate float64
-	// Arrival picks the spacing process (default Poisson).
-	Arrival Arrival
 	// Seed drives arrival spacing and class selection (0 = 1).
 	Seed uint64
 
 	// Classes is the request mix (nil = one 1-KB "doc" class).
 	Classes []RequestClass
-
-	// Deadline bounds each connection's client-side retries, relative
-	// to its launch (0 = retry forever; the run ends when every
-	// connection completes).
-	Deadline sim.Time
 
 	// Trace receives every connection's spans and latency samples
 	// ("http.request" plus one "http.<class>" series per class) under
@@ -143,16 +125,11 @@ func (t *Topology) OpenLoop(cfg OpenLoopConfig) *OpenPool {
 	at := p.Started
 	port := uint32(10000)
 	for i := 0; i < cfg.Conns; i++ {
-		switch cfg.Arrival {
-		case ArrivalUniform:
-			at += sim.Time(perArrival)
-		default:
-			u := rng.Float64()
-			for u == 0 {
-				u = rng.Float64()
-			}
-			at += sim.Time(-math.Log(u) * perArrival)
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
 		}
+		at += sim.Time(-math.Log(u) * perArrival)
 		ci := 0
 		if totalW > 1 {
 			w := rng.Intn(totalW)
@@ -171,11 +148,9 @@ func (t *Topology) OpenLoop(cfg OpenLoopConfig) *OpenPool {
 // launch opens one connection (the arrival instant).
 func (p *OpenPool) launch(port uint32, ci int) {
 	cl := p.cfg.Classes[ci]
-	var deadline sim.Time
-	if p.cfg.Deadline > 0 {
-		deadline = p.t.eng.Now() + p.cfg.Deadline
-	}
-	c := p.t.openConn(p.cfg.From, p.cfg.Target, port, cl.DocSize, deadline)
+	// An open-loop connection retries until it completes: the run
+	// ends when every connection has.
+	c := p.t.openConn(p.cfg.From, p.cfg.Target, port, cl.DocSize, 0)
 	c.class, c.classSeries = ci, p.series[ci]
 	if p.cfg.Trace != nil {
 		c.sink, c.sinkPID = p.cfg.Trace, p.cfg.TracePID

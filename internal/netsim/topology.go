@@ -97,10 +97,6 @@ type LinkSpec struct {
 	// tail-dropped (counted in Topology.Drops). 0 = unbounded, the
 	// legacy behavior.
 	Queue int
-	// LossRate drops roughly one in LossRate frames on this link
-	// only, from a per-link deterministic stream (0 = lossless). The
-	// fabric-wide Topology.LossRate and fault plan apply on top.
-	LossRate int
 }
 
 // link is one full-duplex wire between two hosts. Direction 0 is
@@ -112,8 +108,6 @@ type link struct {
 	bps     uint64
 	latency sim.Time
 	queue   int
-	loss    int
-	lossRNG *sim.RNG
 	busy    [2]sim.Time
 }
 
@@ -227,16 +221,9 @@ type Topology struct {
 	hosts []*host
 	links []*link
 
-	// LossRate drops roughly one in LossRate TCP segments on every
-	// hop, in both directions — SYNs, requests and ACKs as well as
-	// response data (0 = lossless, the default). Deterministic:
-	// driven by a seeded stream. Per-link LinkSpec.LossRate and the
-	// fault plan add independent channels on top.
-	LossRate int
-	lossRNG  *sim.RNG
-
 	// Faults is the fabric's deterministic fault plan (nil = none):
-	// segment loss, duplication and reordering channels.
+	// its segment loss, duplication and reordering channels are the
+	// fabric's only source of loss besides full link queues.
 	Faults *fault.Plan
 
 	// Drops counts frames tail-dropped at a full link queue.
@@ -261,10 +248,9 @@ func NewTopology() *Topology {
 // machines attached later must already run on the same engine.
 func NewTopologyOn(eng *sim.Engine) *Topology {
 	return &Topology{
-		eng:     eng,
-		lossRNG: sim.NewRNG(0xfade),
-		paths:   make(map[pairKey][]HostID),
-		trunks:  make(map[pairKey]*trunkSet),
+		eng:    eng,
+		paths:  make(map[pairKey][]HostID),
+		trunks: make(map[pairKey]*trunkSet),
 	}
 }
 
@@ -332,12 +318,7 @@ func (t *Topology) Link(a, b HostID, spec LinkSpec) {
 	l := &link{
 		a: a, b: b, eng: t.eng,
 		bps: spec.BandwidthBps, latency: spec.Latency,
-		queue: spec.Queue, loss: spec.LossRate,
-	}
-	if l.loss > 0 {
-		// Per-link stream, seeded by position so adding links never
-		// perturbs another link's decisions.
-		l.lossRNG = sim.NewRNG(0x11bead ^ uint64(len(t.links)+1)*0x9e3779b97f4a7c15)
+		queue: spec.Queue,
 	}
 	t.links = append(t.links, l)
 	t.hosts[a].adj = append(t.hosts[a].adj, adjEntry{peer: b, l: l})
@@ -491,9 +472,8 @@ func (t *Topology) freeTransit(tr *transit) {
 }
 
 // xmit puts one segment on the wire along a path of hops, applying
-// the fault decisions: loss (LossRate, per-link loss, or the fault
-// plan), duplication and reordering (fault plan only, the latter on
-// the final hop so successors can overtake). A lost segment still
+// the fault plan's decisions: loss, duplication and reordering (the
+// latter on the final hop so successors can overtake). A lost segment still
 // consumes its wire time — the frame went out, it just never arrives;
 // a tail-dropped one (full queue) consumes nothing. A duplicated
 // segment is sent twice back to back. Each copy carries one
@@ -511,19 +491,12 @@ func (t *Topology) xmit(path []hop, pkt *Packet, to sink) {
 }
 
 // forward sends one copy across hop i; its transit record recurses to
-// i+1 on arrival. Fault decisions draw in the legacy order (fabric
-// loss, link loss, plan loss, plan reorder) at every hop, at send
-// time.
+// i+1 on arrival. Fault decisions draw in a fixed order (loss, then
+// reorder) at every hop, at send time.
 func (t *Topology) forward(path []hop, i int, pkt *Packet, to sink) {
 	h := path[i]
 	last := i == len(path)-1
-	lost := t.LossRate > 0 && t.lossRNG.Intn(t.LossRate) == 0
-	if h.l.loss > 0 && h.l.lossRNG.Intn(h.l.loss) == 0 {
-		lost = true
-	}
-	if t.Faults.DropSegment() {
-		lost = true
-	}
+	lost := t.Faults.DropSegment()
 	var delay sim.Time
 	if last && t.Faults.ReorderSegment() {
 		delay = 2 * sim.WireTime(sim.EthernetMTU+ipTCPHeader)

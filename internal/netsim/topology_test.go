@@ -178,12 +178,13 @@ func TestLeastConnFollowsReleases(t *testing.T) {
 // without RTT adaptation retransmits every exchange).
 func twoHopServe(t *testing.T, loss int) (*OpenPool, *kernel.Kernel) {
 	t.Helper()
-	k := kernel.New(kernel.Config{Name: "far", MemPages: 512})
+	k := kernel.New(kernel.Config{Name: "far", MemPages: 512, Faults: lossPlan(loss)})
 	tp := NewTopologyOn(k.Eng)
+	tp.Faults = k.Faults
 	client := tp.AddHost("client")
 	mid := tp.AddHost("wan-switch")
 	srv := tp.AttachKernel("server", k)
-	spec := LinkSpec{Latency: 15 * sim.Millisecond, LossRate: loss}
+	spec := LinkSpec{Latency: 15 * sim.Millisecond}
 	tp.Link(client, mid, spec)
 	tp.Link(mid, srv, spec)
 	k.Spawn("server", func(e *kernel.Env) {
@@ -211,7 +212,7 @@ func TestAdaptiveRTOCleanLongPath(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRTOLossyLongPath: per-link loss on both hops — recovery
+// TestAdaptiveRTOLossyLongPath: loss on both hops — recovery
 // must still converge (retransmissions happen, the load drains).
 func TestAdaptiveRTOLossyLongPath(t *testing.T) {
 	pool, k := twoHopServe(t, 25)
@@ -219,7 +220,7 @@ func TestAdaptiveRTOLossyLongPath(t *testing.T) {
 		t.Fatalf("completed %d/20 on a lossy long path (livelock?)", pool.Completed)
 	}
 	if rtx := k.Stats.Get(sim.CtrRetransmits); rtx == 0 {
-		t.Error("no retransmits despite 1-in-25 per-link loss on both hops")
+		t.Error("no retransmits despite 1-in-25 loss on both hops")
 	}
 }
 

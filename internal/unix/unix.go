@@ -44,6 +44,10 @@ var (
 	ErrXDev = errors.New("cross-device link")
 )
 
+// PipeCapacity is the ring size, in bytes, of every personality's
+// pipe: a write that does not fit blocks until the reader drains it.
+const PipeCapacity = 16384
+
 // Whence values for Seek.
 const (
 	SeekSet = 0

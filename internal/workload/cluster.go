@@ -17,8 +17,9 @@ import (
 )
 
 // ClusterConfig describes one cell of the cluster experiment: N
-// machine.New-built servers behind a load balancer, driven by an
-// open-loop arrival process (the ROADMAP's "millions of users"
+// machine.New-built Xok/ExOS servers, serving with Figure 3's
+// Socket/Xok stack profile behind a load balancer, driven by an
+// open-loop Poisson arrival process (the ROADMAP's "millions of users"
 // setting — offered load does not slow down when the servers do).
 type ClusterConfig struct {
 	// Servers is the backend machine count (default 1).
@@ -30,14 +31,8 @@ type ClusterConfig struct {
 	Rate float64
 	// Policy spreads connections over the backends.
 	Policy netsim.Policy
-	// Arrival picks the spacing process (default Poisson).
-	Arrival netsim.Arrival
 	// Seed drives arrival spacing and the class mix (default 1).
 	Seed uint64
-	// Personality is the server OS (default Xok/ExOS, serving with
-	// the Socket/Xok stack profile; BSD personalities serve with
-	// Socket/BSD).
-	Personality machine.Personality
 	// Trace, when non-nil, additionally receives every machine's
 	// spans plus the request-latency series. It must not be shared
 	// with a concurrently running cell (core.Bench passes a fresh
@@ -136,26 +131,8 @@ type ClusterResult struct {
 	Digest uint64
 }
 
-// clusterFS reaches the machine's root file system.
-func clusterFS(m machine.Machine) *cffs.FS {
-	switch s := m.(type) {
-	case machine.Xok:
-		return s.S.FS
-	case machine.BSD:
-		return s.S.FS
-	}
-	return nil
-}
-
-// clusterProfile maps the server personality onto a Figure-3 stack
-// cost profile.
-func clusterProfile(p machine.Personality) netsim.StackConfig {
-	kind := httpd.SocketBSD
-	if p == machine.XokExOS || p == machine.XokUnprotected {
-		kind = httpd.SocketXok
-	}
-	return kind.StackProfile()
-}
+// clusterFS reaches the server's root file system.
+func clusterFS(m machine.Machine) *cffs.FS { return m.(machine.Xok).S.FS }
 
 // stageClusterDocs creates one document per request class on the
 // machine.
@@ -264,11 +241,11 @@ func runCluster(cfg ClusterConfig, eng *sim.Engine) (ClusterResult, error) {
 			m.Close()
 		}
 	}()
-	profile := clusterProfile(cfg.Personality)
+	profile := httpd.SocketXok.StackProfile()
 	for i := 0; i < cfg.Servers; i++ {
 		att := &netsim.Attachment{Topology: topo, Name: fmt.Sprintf("srv%d", i)}
 		m, err := machine.New(machine.Config{
-			Personality: cfg.Personality,
+			Personality: machine.XokExOS,
 			// Small machines: the cluster stresses the network path,
 			// not the disk, and N of them boot per cell.
 			DiskBlocks: 1 << 16,
@@ -302,7 +279,7 @@ func runCluster(cfg ClusterConfig, eng *sim.Engine) (ClusterResult, error) {
 	pool := topo.OpenLoop(netsim.OpenLoopConfig{
 		From: clients, Target: lb,
 		Conns: cfg.Conns, Rate: cfg.Rate,
-		Arrival: cfg.Arrival, Seed: cfg.Seed,
+		Seed:    cfg.Seed,
 		Classes: classes,
 		Trace:   latTr, TracePID: pid,
 	})

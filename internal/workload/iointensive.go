@@ -112,24 +112,12 @@ func IOIntensive(m Machine) (IOResult, error) {
 	return res, nil
 }
 
-// ProtectionCost runs the Section 6.3 experiment: the I/O workload on
-// stock Xok/ExOS (XN + shared-state protection calls) versus Xok/ExOS
-// with both removed. The paper reports 41.1 s -> 39.7 s and 300,000 ->
-// 81,000 system calls.
+// ProtectionResult is the Section 6.3 experiment's outcome: the I/O
+// workload on stock Xok/ExOS (XN + shared-state protection calls)
+// versus Xok/ExOS with both removed. The paper reports 41.1 s -> 39.7 s
+// and 300,000 -> 81,000 system calls. core.Bench.ProtectionCost runs
+// it.
 type ProtectionResult struct {
 	WithProtection    IOResult
 	WithoutProtection IOResult
-}
-
-// ProtectionCost executes both configurations.
-func ProtectionCost() (ProtectionResult, error) {
-	var res ProtectionResult
-	var err error
-	if res.WithProtection, err = IOIntensive(NewXok()); err != nil {
-		return res, err
-	}
-	if res.WithoutProtection, err = IOIntensive(NewXokUnprotected()); err != nil {
-		return res, err
-	}
-	return res, nil
 }

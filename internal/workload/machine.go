@@ -10,49 +10,14 @@ package workload
 import (
 	"fmt"
 
-	"xok/internal/bsdos"
 	"xok/internal/machine"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
 
-// EnvHandle identifies a spawned process.
-type EnvHandle = machine.EnvHandle
-
 // Machine abstracts over the OS personalities; internal/machine is the
 // construction path.
 type Machine = machine.Machine
-
-// Xok and BSD are the concrete machine wrappers, re-exported for
-// experiments that reach the underlying systems.
-type (
-	Xok = machine.Xok
-	BSD = machine.BSD
-)
-
-// NewXok boots a stock Xok/ExOS machine (protection on, as in all
-// Section 6 measurements).
-func NewXok() Machine {
-	return machine.MustNew(machine.Config{Personality: machine.XokExOS})
-}
-
-// NewXokUnprotected boots Xok/ExOS with XN charging and shared-state
-// protection calls removed (the Section 6.3 comparison point).
-func NewXokUnprotected() Machine {
-	return machine.MustNew(machine.Config{Personality: machine.XokUnprotected})
-}
-
-// NewBSD boots a BSD machine.
-func NewBSD(v bsdos.Variant) Machine {
-	p := machine.FreeBSD
-	switch v {
-	case bsdos.OpenBSD:
-		p = machine.OpenBSD
-	case bsdos.OpenBSDCFFS:
-		p = machine.OpenBSDCFFS
-	}
-	return machine.MustNew(machine.Config{Personality: p})
-}
 
 // SystemConfigs returns the machine configurations of the four
 // Figure-2 systems in the paper's presentation order. Callers that
@@ -66,17 +31,6 @@ func SystemConfigs() []machine.Config {
 		{Personality: machine.OpenBSD},
 		{Personality: machine.FreeBSD},
 	}
-}
-
-// AllSystems boots the four systems of Figure 2, in the paper's
-// presentation order.
-func AllSystems() []Machine {
-	cfgs := SystemConfigs()
-	ms := make([]Machine, len(cfgs))
-	for i, cfg := range cfgs {
-		ms[i] = machine.MustNew(cfg)
-	}
-	return ms
 }
 
 // exec runs main as a process to completion and returns the elapsed

@@ -3,22 +3,26 @@ package workload
 import (
 	"testing"
 
-	"xok/internal/bsdos"
-	"xok/internal/sim"
+	"xok/internal/machine"
 )
+
+// newMachine boots a stock machine of one personality.
+func newMachine(p machine.Personality) Machine {
+	return machine.MustNew(machine.Config{Personality: p})
+}
 
 func TestIOIntensiveShape(t *testing.T) {
 	// Figure 2's shape: Xok/ExOS fastest, OpenBSD/C-FFS second,
 	// native-FFS BSDs slowest (41 s vs 51 s vs ~60 s in the paper).
-	xok, err := IOIntensive(NewXok())
+	xok, err := IOIntensive(newMachine(machine.XokExOS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	obsdCffs, err := IOIntensive(NewBSD(bsdos.OpenBSDCFFS))
+	obsdCffs, err := IOIntensive(newMachine(machine.OpenBSDCFFS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbsd, err := IOIntensive(NewBSD(bsdos.FreeBSD))
+	fbsd, err := IOIntensive(newMachine(machine.FreeBSD))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +61,14 @@ func TestIOIntensiveShape(t *testing.T) {
 func TestProtectionCost(t *testing.T) {
 	// Section 6.3: protection costs a few percent (41.1 s vs 39.7 s)
 	// and most system calls (300k -> 81k).
-	res, err := ProtectionCost()
+	with, err := IOIntensive(newMachine(machine.XokExOS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, without := res.WithProtection, res.WithoutProtection
+	without, err := IOIntensive(newMachine(machine.XokUnprotected))
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("with protection:    %v, %d syscalls (%d protection calls)",
 		with.Total, with.Syscalls, with.ProtCalls)
 	t.Logf("without protection: %v, %d syscalls", without.Total, without.Syscalls)
@@ -86,11 +93,11 @@ func TestMABShape(t *testing.T) {
 	// OpenBSD/C-FFS, OpenBSD, FreeBSD — much closer than the I/O
 	// workload "because MAB stresses fork, an expensive function in
 	// Xok/ExOS".
-	xok, err := MAB(NewXok())
+	xok, err := MAB(newMachine(machine.XokExOS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbsd, err := MAB(NewBSD(bsdos.FreeBSD))
+	fbsd, err := MAB(newMachine(machine.FreeBSD))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,18 +129,18 @@ func TestGlobalPerfSmall(t *testing.T) {
 	// A scaled-down Figure 4 cell: 7 jobs at concurrency 2. Xok and
 	// FreeBSD should land within ~35% of each other, and identical
 	// seeds must give identical schedules per system.
-	xok1, err := GlobalPerf(NewXok(), Pool1(), 7, 2, 42)
+	xok1, err := GlobalPerf(newMachine(machine.XokExOS), Pool1(), 7, 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xok2, err := GlobalPerf(NewXok(), Pool1(), 7, 2, 42)
+	xok2, err := GlobalPerf(newMachine(machine.XokExOS), Pool1(), 7, 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if xok1.Total != xok2.Total || xok1.Max != xok2.Max || xok1.Min != xok2.Min {
 		t.Errorf("nondeterministic: %+v vs %+v", xok1, xok2)
 	}
-	fbsd, err := GlobalPerf(NewBSD(bsdos.FreeBSD), Pool1(), 7, 2, 42)
+	fbsd, err := GlobalPerf(newMachine(machine.FreeBSD), Pool1(), 7, 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +159,11 @@ func TestGlobalPerfPool2ConcurrencyHelpsXok(t *testing.T) {
 	// Figure 5: "the relative performance difference between FreeBSD
 	// and Xok/ExOS increases with job concurrency" when C-FFS-favoured
 	// jobs are in the pool.
-	xok, err := GlobalPerf(NewXok(), Pool2(), 8, 4, 7)
+	xok, err := GlobalPerf(newMachine(machine.XokExOS), Pool2(), 8, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbsd, err := GlobalPerf(NewBSD(bsdos.FreeBSD), Pool2(), 8, 4, 7)
+	fbsd, err := GlobalPerf(newMachine(machine.FreeBSD), Pool2(), 8, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,5 +172,3 @@ func TestGlobalPerfPool2ConcurrencyHelpsXok(t *testing.T) {
 		t.Errorf("Xok (%v) should beat FreeBSD (%v) on the pool-2 mix", xok.Total, fbsd.Total)
 	}
 }
-
-var _ = sim.Time(0)
