@@ -33,12 +33,15 @@ crash:
 fuzz-smoke:
 	$(GO) run ./cmd/xok-bench -run difftest -seeds 100
 
-# A short difftest batch fanned across 4 workers under the race
-# detector: the canary for cross-machine shared state. Any package
-# global mutated by two concurrently-running machines surfaces here as
-# a data race (this is how xn's package-level LRU clock was caught).
+# A short difftest batch and the default Figure 5 sweep, each fanned
+# across 4 workers under the race detector: the canary for
+# cross-machine shared state. Any package global mutated by two
+# concurrently-running machines surfaces here as a data race (this is
+# how xn's package-level LRU clock was caught). Figure 5's legs share
+# the process-wide Sor/Tsp memo tables in internal/apps.
 race-parallel:
 	$(GO) run -race ./cmd/xok-bench -run difftest -seeds 12 -parallel 4
+	$(GO) run -race ./cmd/xok-bench -run figure5 -parallel 4 > /dev/null
 
 # Perf sanity: the difftest campaign fanned across 4 workers must not
 # be slower than the same campaign serial beyond a generous tolerance
@@ -107,11 +110,12 @@ check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke snapshot-
 
 # Wall-clock benchmark baseline, committed as BENCH_sim.json so engine
 # or harness regressions show up as a diff. Two tiers: the engine,
-# kernel token-handoff, XN dirty-path and disk C-SCAN micro-benchmarks
-# run at the default benchtime (they are the ns/op + allocs/op numbers
-# the fast paths are judged on); the end-to-end experiment benchmarks
-# (MAB, a Figure 4 cell, difftest serial-vs-parallel, crash
-# serial-vs-parallel) each run their full campaign once, -benchtime=1x.
+# kernel token-handoff, XN dirty-path and LRU-eviction and disk C-SCAN
+# micro-benchmarks run at the default benchtime (they are the ns/op +
+# allocs/op numbers the fast paths are judged on); the end-to-end
+# experiment benchmarks (MAB, a Figure 4 and a Figure 5 cell, difftest
+# serial-vs-parallel, crash serial-vs-parallel) each run their full
+# campaign once, -benchtime=1x.
 # Raw `go test` output passes through on stderr; stdout carries the
 # JSON (see cmd/benchjson). The -expect list makes a silently vanished
 # benchmark (renamed, paniced, filtered out) fail the run instead of
@@ -122,9 +126,10 @@ BenchmarkEngineScheduleCancel,BenchmarkEngineScheduleCancelWheel,\
 BenchmarkEngineTimersHeap65536,BenchmarkEngineTimersWheel65536,\
 BenchmarkEngineTimersHeap1M,BenchmarkEngineTimersWheel1M,\
 BenchmarkKernelUseInPlace,BenchmarkKernelEnvSwitch,\
-BenchmarkXNMarkDirtyInFlight512,BenchmarkDiskPickDeepQueue,\
+BenchmarkXNMarkDirtyInFlight512,BenchmarkXNRecycleLRUDeep,BenchmarkDiskPickDeepQueue,\
 BenchmarkMAB/Xok-ExOS,BenchmarkMAB/FreeBSD,\
 BenchmarkFigure4_GlobalPool1/Xok-ExOS,BenchmarkFigure4_GlobalPool1/FreeBSD,\
+BenchmarkFigure5_GlobalPool2/Xok-ExOS,BenchmarkFigure5_GlobalPool2/FreeBSD,\
 BenchmarkDifftest100Serial,BenchmarkDifftest100Parallel4,\
 BenchmarkDifftest100SnapshotSerial,BenchmarkDifftest100SnapshotParallel4,\
 BenchmarkCrashSweepSerial,BenchmarkCrashSweepParallel4,\
@@ -134,7 +139,7 @@ BenchmarkClusterSerial,BenchmarkClusterParallel4,BenchmarkClusterConns100k
 bench:
 	@{ $(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/sim/ && \
 	   $(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchmem ./internal/kernel/ && \
-	   $(GO) test -run '^$$' -bench 'BenchmarkXNMarkDirtyInFlight512|BenchmarkDiskPickDeepQueue' -benchmem ./internal/xn/ ./internal/disk/ && \
-	   $(GO) test -run '^$$' -bench 'BenchmarkMAB$$|BenchmarkFigure4_GlobalPool1$$|BenchmarkDifftest100|BenchmarkCrashSweep|BenchmarkCluster' -benchmem -benchtime=1x . ; } \
+	   $(GO) test -run '^$$' -bench 'BenchmarkXNMarkDirtyInFlight512|BenchmarkXNRecycleLRUDeep|BenchmarkDiskPickDeepQueue' -benchmem ./internal/xn/ ./internal/disk/ && \
+	   $(GO) test -run '^$$' -bench 'BenchmarkMAB$$|BenchmarkFigure4_GlobalPool1$$|BenchmarkFigure5_GlobalPool2$$|BenchmarkDifftest100|BenchmarkCrashSweep|BenchmarkCluster' -benchmem -benchtime=1x . ; } \
 	  | $(GO) run ./cmd/benchjson -expect '$(BENCH_EXPECT)' > BENCH_sim.json
 	@echo "wrote BENCH_sim.json"

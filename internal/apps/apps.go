@@ -1,7 +1,10 @@
 package apps
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"sync"
 
 	"xok/internal/sim"
 	"xok/internal/unix"
@@ -349,9 +352,13 @@ func RmRF(p unix.Proc, dir string) error {
 }
 
 // Grep scans a file (or tree) for a pattern, charging scan CPU.
-// Returns the number of matches (over the synthetic content this is
-// typically zero; the cost is the point).
+// Returns the number of non-overlapping matches (over the synthetic
+// content this is typically zero; the cost is the point). An empty
+// pattern is rejected before anything is read.
 func Grep(p unix.Proc, path string, pattern string) (int, error) {
+	if pattern == "" {
+		return 0, errors.New("apps: grep: empty pattern")
+	}
 	st, err := p.Stat(path)
 	if err != nil {
 		return 0, err
@@ -376,14 +383,7 @@ func Grep(p unix.Proc, path string, pattern string) (int, error) {
 		return 0, err
 	}
 	p.Compute(sim.Time(len(data) * CPUGrep))
-	matches := 0
-	for i := 0; i+len(pattern) <= len(data); i++ {
-		if string(data[i:i+len(pattern)]) == pattern {
-			matches++
-			i += len(pattern) - 1
-		}
-	}
-	return matches, nil
+	return bytes.Count(data, []byte(pattern)), nil
 }
 
 // Wc counts words in the listed files.
@@ -409,27 +409,91 @@ func Wc(p unix.Proc, paths ...string) (int, error) {
 
 // Cksum computes a checksum over the files `repeat` times ("compute a
 // checksum many times over a small set of files" — the CPU-heavy pool
-// member in Figure 4).
+// member in Figure 4). Every repeat re-reads and is charged in full; a
+// file whose bytes read back unchanged folds in the hash it had last
+// time instead of rehashing them.
 func Cksum(p unix.Proc, repeat int, paths ...string) (uint32, error) {
 	var sum uint32
+	last := make([]cksumPart, len(paths))
 	for r := 0; r < repeat; r++ {
-		for _, path := range paths {
+		for i, path := range paths {
 			data, err := ReadFile(p, path)
 			if err != nil {
 				return 0, err
 			}
 			p.Compute(sim.Time(len(data) * CPUCksum))
-			for _, c := range data {
-				sum = sum*31 + uint32(c)
+			c := &last[i]
+			if c.data == nil || !bytes.Equal(data, c.data) {
+				*c = newCksumPart(data)
 			}
+			sum = sum*c.pow + c.hash
 		}
 	}
 	return sum, nil
 }
 
+// cksumPart is one file's contribution to Cksum's running sum. The
+// byte loop s = s*31 + b over data equals s*31^len(data) + h, where h
+// is the loop's result from zero, so a re-read of the same bytes costs
+// one comparison instead of a rehash. data is ReadFile's own fresh
+// slice; keeping it aliases nothing.
+type cksumPart struct {
+	data      []byte
+	hash, pow uint32
+}
+
+func newCksumPart(data []byte) cksumPart {
+	c := cksumPart{data: data, pow: 1}
+	for _, b := range data {
+		c.hash = c.hash*31 + uint32(b)
+		c.pow *= 31
+	}
+	return c
+}
+
+// Sor and Tsp are pure functions of their arguments, and the Figure 4
+// and 5 job mixes run the same few instances over and over. Their
+// results are memoised process-wide; a repeat call replays the
+// identical p.Compute charges (one per iteration or round, each a
+// scheduling point) without redoing the arithmetic. Concurrent cold
+// callers may both compute; they store the same value.
+var (
+	memoMu  sync.Mutex
+	sorMemo = map[[2]int]float64{}
+	tspMemo = map[[2]int]float64{}
+)
+
+// memoised returns compute's value for key from m, running compute on
+// a miss. Either way p is charged cost once per each of the rounds.
+func memoised(p unix.Proc, m map[[2]int]float64, key [2]int, rounds int, cost sim.Time,
+	compute func(round func()) float64) float64 {
+	memoMu.Lock()
+	v, ok := m[key]
+	memoMu.Unlock()
+	if ok {
+		for r := 0; r < rounds; r++ {
+			p.Compute(cost)
+		}
+		return v
+	}
+	v = compute(func() { p.Compute(cost) })
+	memoMu.Lock()
+	m[key] = v
+	memoMu.Unlock()
+	return v
+}
+
 // Tsp solves a traveling-salesman instance by 2-opt over a random
 // tour: pure CPU (Figure 4 pool).
 func Tsp(p unix.Proc, cities, rounds int) float64 {
+	// ~40 cycles per inner-loop comparison on the target machine.
+	cost := sim.Time(cities * cities / 2 * 40)
+	return memoised(p, tspMemo, [2]int{cities, rounds}, rounds, cost,
+		func(round func()) float64 { return tsp(cities, rounds, round) })
+}
+
+// tsp is Tsp's arithmetic; round runs after each 2-opt round.
+func tsp(cities, rounds int, round func()) float64 {
 	rng := sim.NewRNG(uint64(cities)*2654435761 + 1)
 	xs := make([]float64, cities)
 	ys := make([]float64, cities)
@@ -454,8 +518,7 @@ func Tsp(p unix.Proc, cities, rounds int) float64 {
 				}
 			}
 		}
-		// ~40 cycles per inner-loop comparison on the target machine.
-		p.Compute(sim.Time(cities * cities / 2 * 40))
+		round()
 	}
 	for i := 0; i < cities-1; i++ {
 		best += dist(tour[i], tour[i+1])
@@ -466,6 +529,14 @@ func Tsp(p unix.Proc, cities, rounds int) float64 {
 // Sor iteratively solves a Laplace equation by successive
 // overrelaxation on an n x n grid: pure CPU (Figure 4 pool).
 func Sor(p unix.Proc, n, iters int) float64 {
+	// ~12 cycles per stencil update (FP adds + multiply).
+	cost := sim.Time((n - 2) * (n - 2) * 12)
+	return memoised(p, sorMemo, [2]int{n, iters}, iters, cost,
+		func(iter func()) float64 { return sor(n, iters, iter) })
+}
+
+// sor is Sor's arithmetic; iter runs after each sweep.
+func sor(n, iters int, iter func()) float64 {
 	grid := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		grid[i] = 1.0 // hot top edge
@@ -479,8 +550,7 @@ func Sor(p unix.Proc, n, iters int) float64 {
 				grid[i] += omega * (v - grid[i])
 			}
 		}
-		// ~12 cycles per stencil update (FP adds + multiply).
-		p.Compute(sim.Time((n - 2) * (n - 2) * 12))
+		iter()
 	}
 	return grid[n*n/2+n/2]
 }

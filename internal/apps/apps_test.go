@@ -3,9 +3,13 @@ package apps
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"xok/internal/exos"
+	"xok/internal/sim"
 	"xok/internal/unix"
 )
 
@@ -287,4 +291,262 @@ func TestCksum(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+func TestGrepRejectsEmptyPattern(t *testing.T) {
+	run(t, func(p unix.Proc) error {
+		if err := WriteFile(p, "/f", []byte("abc")); err != nil {
+			return err
+		}
+		start := p.Now()
+		if _, err := Grep(p, "/f", ""); err == nil {
+			return fmt.Errorf("grep with an empty pattern succeeded")
+		}
+		if p.Now() != start {
+			return fmt.Errorf("rejected grep charged %d cycles", p.Now()-start)
+		}
+		return nil
+	})
+}
+
+// computeLog wraps a process and records every Compute charge.
+type computeLog struct {
+	unix.Proc
+	charges []sim.Time
+}
+
+func (c *computeLog) Compute(cycles sim.Time) {
+	c.charges = append(c.charges, cycles)
+	c.Proc.Compute(cycles)
+}
+
+// memoRun runs f on a fresh machine and reports its result, the
+// virtual time it took and the Compute charges it made.
+func memoRun(f func(p unix.Proc) float64) (float64, sim.Time, []sim.Time) {
+	s := exos.Boot(exos.Config{})
+	var v float64
+	var took sim.Time
+	log := &computeLog{}
+	s.Spawn("app", 0, func(p unix.Proc) {
+		log.Proc = p
+		start := p.Now()
+		v = f(log)
+		took = p.Now() - start
+	})
+	s.Run()
+	return v, took, log.charges
+}
+
+// TestSorTspMemoExact: a memoised call returns the value of the
+// arithmetic and charges exactly what the cold call charged, one
+// Compute per iteration or round.
+func TestSorTspMemoExact(t *testing.T) {
+	cases := []struct {
+		name  string
+		memo  map[[2]int]float64
+		key   [2]int
+		call  func(p unix.Proc) float64
+		ref   func() float64
+		calls int
+	}{
+		{"sor", sorMemo, [2]int{37, 11},
+			func(p unix.Proc) float64 { return Sor(p, 37, 11) },
+			func() float64 { return sor(37, 11, func() {}) }, 11},
+		{"tsp", tspMemo, [2]int{29, 7},
+			func(p unix.Proc) float64 { return Tsp(p, 29, 7) },
+			func() float64 { return tsp(29, 7, func() {}) }, 7},
+	}
+	for _, c := range cases {
+		memoMu.Lock()
+		delete(c.memo, c.key)
+		memoMu.Unlock()
+		cold, coldTook, coldCharges := memoRun(c.call)
+		memoMu.Lock()
+		_, stored := c.memo[c.key]
+		memoMu.Unlock()
+		if !stored {
+			t.Fatalf("%s: cold call stored nothing", c.name)
+		}
+		warm, warmTook, warmCharges := memoRun(c.call)
+		if want := c.ref(); cold != want || warm != want {
+			t.Errorf("%s: cold %v, warm %v, arithmetic %v", c.name, cold, warm, want)
+		}
+		if coldTook == 0 || warmTook != coldTook {
+			t.Errorf("%s: cold took %d cycles, warm %d", c.name, coldTook, warmTook)
+		}
+		if len(coldCharges) != c.calls || !slices.Equal(warmCharges, coldCharges) {
+			t.Errorf("%s: cold charges %v, warm %v, want %d calls", c.name, coldCharges, warmCharges, c.calls)
+		}
+	}
+}
+
+// refCksum is Cksum's byte loop over each read in order.
+func refCksum(reads [][]byte) uint32 {
+	var sum uint32
+	for _, data := range reads {
+		for _, c := range data {
+			sum = sum*31 + uint32(c)
+		}
+	}
+	return sum
+}
+
+// TestCksumMatchesByteLoop: over seeded random files, repeat counts
+// and path lists with repeats, Cksum equals the plain byte loop.
+func TestCksumMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 8; trial++ {
+		files := make([][]byte, 1+rng.Intn(4))
+		for i := range files {
+			files[i] = make([]byte, rng.Intn(3*sim.PageSize))
+			rng.Read(files[i])
+		}
+		var paths []string
+		var order []int
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			i := rng.Intn(len(files))
+			paths = append(paths, fmt.Sprintf("/f%d", i))
+			order = append(order, i)
+		}
+		repeat := rng.Intn(5)
+		var reads [][]byte
+		for r := 0; r < repeat; r++ {
+			for _, i := range order {
+				reads = append(reads, files[i])
+			}
+		}
+		run(t, func(p unix.Proc) error {
+			for i, data := range files {
+				if err := WriteFile(p, fmt.Sprintf("/f%d", i), data); err != nil {
+					return err
+				}
+			}
+			got, err := Cksum(p, repeat, paths...)
+			if err != nil {
+				return err
+			}
+			if want := refCksum(reads); got != want {
+				return fmt.Errorf("trial %d: cksum %#x, byte loop %#x", trial, got, want)
+			}
+			return nil
+		})
+	}
+}
+
+// readLog wraps a process and records the bytes each Open's reads
+// returned, in order.
+type readLog struct {
+	unix.Proc
+	fds   map[unix.FD]int
+	reads [][]byte
+	paths []string
+}
+
+func (r *readLog) Open(path string) (unix.FD, error) {
+	fd, err := r.Proc.Open(path)
+	if err == nil {
+		r.fds[fd] = len(r.reads)
+		r.reads = append(r.reads, nil)
+		r.paths = append(r.paths, path)
+	}
+	return fd, err
+}
+
+func (r *readLog) Read(fd unix.FD, buf []byte) (int, error) {
+	n, err := r.Proc.Read(fd, buf)
+	if i, ok := r.fds[fd]; ok && n > 0 {
+		r.reads[i] = append(r.reads[i], buf[:n]...)
+	}
+	return n, err
+}
+
+// TestCksumSeesRewrite: a second process rewrites one of the files
+// while Cksum runs, so some re-reads differ from the bytes kept and
+// must be hashed afresh. The result still equals the byte loop over
+// exactly what was read.
+func TestCksumSeesRewrite(t *testing.T) {
+	s := exos.Boot(exos.Config{})
+	const size = 2 * sim.PageSize
+	content := func(v byte) []byte { return bytes.Repeat([]byte{v}, size) }
+	if err := func() (err error) {
+		s.Spawn("setup", 0, func(p unix.Proc) {
+			for _, f := range []string{"/a", "/b"} {
+				if err = WriteFile(p, f, content(1)); err != nil {
+					return
+				}
+			}
+		})
+		s.Run()
+		return err
+	}(); err != nil {
+		t.Fatal(err)
+	}
+	var got uint32
+	var cerr, werr error
+	log := &readLog{fds: map[unix.FD]int{}}
+	s.Spawn("cksum", 0, func(p unix.Proc) {
+		log.Proc = p
+		got, cerr = Cksum(log, 40, "/a", "/b")
+	})
+	s.Spawn("writer", 0, func(p unix.Proc) {
+		for v := byte(2); v < 8 && werr == nil; v++ {
+			p.Compute(size * CPUCksum * 7)
+			werr = WriteFile(p, "/b", content(v))
+		}
+	})
+	s.Run()
+	if cerr != nil || werr != nil {
+		t.Fatalf("cksum: %v, writer: %v", cerr, werr)
+	}
+	if want := refCksum(log.reads); got != want {
+		t.Fatalf("cksum %#x, byte loop over the reads %#x", got, want)
+	}
+	changes := 0
+	var prev []byte
+	for i, data := range log.reads {
+		if log.paths[i] == "/b" {
+			if prev != nil && !bytes.Equal(prev, data) {
+				changes++
+			}
+			prev = data
+		}
+	}
+	if changes < 2 {
+		t.Fatalf("the writer changed /b between reads %d times; the test needs at least 2", changes)
+	}
+}
+
+// TestMemoConcurrentCallers: machines on parallel workers share the
+// memo tables. Cold and warm callers racing on the same instances all
+// get the arithmetic's value and the same charges (run under -race by
+// `make race`).
+func TestMemoConcurrentCallers(t *testing.T) {
+	memoMu.Lock()
+	delete(sorMemo, [2]int{41, 9})
+	delete(tspMemo, [2]int{31, 5})
+	memoMu.Unlock()
+	call := func(p unix.Proc) float64 { return Sor(p, 41, 9) + Tsp(p, 31, 5) }
+	want := sor(41, 9, func() {}) + tsp(31, 5, func() {})
+	type result struct {
+		v       float64
+		took    sim.Time
+		charges []sim.Time
+	}
+	results := make([]result, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, took, charges := memoRun(call)
+			results[i] = result{v, took, charges}
+		}()
+	}
+	wg.Wait()
+	for i, r := range results {
+		if r.v != want || r.took != results[0].took || !slices.Equal(r.charges, results[0].charges) {
+			t.Errorf("caller %d: value %v (want %v), took %d, charges %v; caller 0 took %d, charges %v",
+				i, r.v, want, r.took, r.charges, results[0].took, results[0].charges)
+		}
+	}
 }

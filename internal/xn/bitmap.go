@@ -35,9 +35,19 @@ func (b *bitmap) set(i int64, v bool) {
 	}
 }
 
+// setRange sets bits [lo, hi), clipped to the map, a word at a time:
+// mkfs marks the whole volume free on every boot.
 func (b *bitmap) setRange(lo, hi int64, v bool) {
-	for i := lo; i < hi; i++ {
-		b.set(i, v)
+	for i := max(lo, 0); i < min(hi, b.n); {
+		off := uint(i % 64)
+		n := min(min(hi, b.n)-i, 64-int64(off))
+		mask := ^uint64(0) >> (64 - uint(n)) << off
+		if v {
+			b.words[i/64] |= mask
+		} else {
+			b.words[i/64] &^= mask
+		}
+		i += n
 	}
 }
 

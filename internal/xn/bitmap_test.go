@@ -107,3 +107,32 @@ func TestBitmapFindRunProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBitmapSetRangeMatchesBits: the word-at-a-time setRange equals
+// setting each bit of the range, out-of-range ends included.
+func TestBitmapSetRangeMatchesBits(t *testing.T) {
+	f := func(lo, hi int16, v bool, seed uint64) bool {
+		const n = 300
+		got, want := newBitmap(n), newBitmap(n)
+		for i := range got.words {
+			got.words[i] = seed * uint64(2*i+1)
+		}
+		got.words[len(got.words)-1] &= 1<<(n%64) - 1
+		copy(want.words, got.words)
+		l, h := int64(lo)%(n+40)-20, int64(hi)%(n+40)-20
+		got.setRange(l, h, v)
+		for i := l; i < h; i++ {
+			want.set(i, v)
+		}
+		for i := range got.words {
+			if got.words[i] != want.words[i] {
+				t.Logf("setRange(%d, %d, %v): word %d %#x, bit by bit %#x", l, h, v, i, got.words[i], want.words[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

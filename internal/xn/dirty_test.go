@@ -440,6 +440,11 @@ func TestOrphanedEntryNotCountedDirty(t *testing.T) {
 	if err := checkIndex(x, "after orphaning"); err != nil {
 		t.Fatal(err)
 	}
+	// modify touched c after it left the registry; it must stay off
+	// the recency list.
+	if err := checkLRUList(x); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // BenchmarkXNMarkDirtyInFlight512 is flush-behind's steady state in

@@ -653,7 +653,7 @@ func (x *XN) Alloc(e *kernel.Env, meta disk.BlockNo, mods []Mod, ext udf.Extent)
 	for i := int64(0); i < ext.Count; i++ {
 		b := disk.BlockNo(ext.Start + i)
 		x.free.set(int64(b), false)
-		x.unindex(b) // a raw-read entry for the free block may be replaced
+		x.dropRawRead(b)
 		x.reg[b] = &Entry{
 			Block:     b,
 			Page:      mem.NoPage,
@@ -705,7 +705,16 @@ func (x *XN) dropEntry(b disk.BlockNo, en *Entry) {
 	}
 	en.Dirty, en.flushing = false, false
 	x.unindex(b)
-	delete(x.reg, b)
+	x.forget(en)
+}
+
+// dropRawRead clears the way for Alloc and Replace to install a fresh
+// entry for the free block b: a raw-read entry for it may be replaced.
+func (x *XN) dropRawRead(b disk.BlockNo) {
+	x.unindex(b)
+	if en, ok := x.reg[b]; ok {
+		x.forget(en)
+	}
 }
 
 // unindex drops b from the dirty index: its entry went clean or is
@@ -775,7 +784,7 @@ func (x *XN) Replace(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remove u
 	for i := int64(0); i < add.Count; i++ {
 		b := disk.BlockNo(add.Start + i)
 		x.free.set(int64(b), false)
-		x.unindex(b) // a raw-read entry for the free block may be replaced
+		x.dropRawRead(b)
 		x.reg[b] = &Entry{
 			Block:     b,
 			Page:      mem.NoPage,

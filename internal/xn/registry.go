@@ -63,6 +63,10 @@ type Entry struct {
 	waiters  []*kernel.Env // environments waiting for an in-flight read
 	flushing bool          // flush-behind write in flight
 	pinned   bool          // exempt from LRU recycling (hot metadata)
+	gone     bool          // left the registry; touch must not relink it
+
+	// lruPrev and lruNext link a touched entry into XN's recency list.
+	lruPrev, lruNext *Entry
 
 	// stateWord mirrors State as an exposed int64 so wakeup
 	// predicates can bind to it: "to wait for a disk block to be
@@ -95,12 +99,45 @@ func (x *XN) isMetadata(id TemplateID) bool {
 	return false
 }
 
+// touch stamps en as the most recently used entry. Every path that
+// makes an entry resident touches it, so every resident registry entry
+// is on the recency list, and the list is in lastUse order.
 func (x *XN) touch(en *Entry) {
 	x.useClock++
 	en.lastUse = x.useClock
+	if !en.gone && x.lru.lruPrev != en {
+		x.lruUnlink(en)
+		x.lruPush(en)
+	}
 	if en.Page != mem.NoPage {
 		x.M.Touch(en.Page)
 	}
+}
+
+// lruPush links en at the most recently used end of the recency list.
+func (x *XN) lruPush(en *Entry) {
+	tail := x.lru.lruPrev
+	en.lruPrev, en.lruNext = tail, &x.lru
+	tail.lruNext = en
+	x.lru.lruPrev = en
+}
+
+// lruUnlink takes en off the recency list if it is on it.
+func (x *XN) lruUnlink(en *Entry) {
+	if en.lruNext == nil {
+		return
+	}
+	en.lruPrev.lruNext = en.lruNext
+	en.lruNext.lruPrev = en.lruPrev
+	en.lruPrev, en.lruNext = nil, nil
+}
+
+// forget removes en from the registry and the recency list. Callers
+// holding en may still touch it; it stays off the list.
+func (x *XN) forget(en *Entry) {
+	delete(x.reg, en.Block)
+	x.lruUnlink(en)
+	en.gone = true
 }
 
 // Lookup returns a copy of the registry entry for b. No system call:
@@ -288,22 +325,28 @@ func (x *XN) LoadRoot(e *kernel.Env, name string) (Root, error) {
 // entry and returns its page for reuse: "by default, when libOSes need
 // pages and none are free, they recycle the oldest buffer on this LRU
 // list" (Section 4.3.3).
+//
+// The recency list holds every resident entry in lastUse order, so the
+// first eligible entry from its front is the least recently used one;
+// the walk costs the ineligible (dirty, locked, pinned or not yet
+// resident) prefix, not the registry.
 func (x *XN) RecycleLRU(e *kernel.Env) (mem.PageNo, bool) {
 	x.charge(e, 100)
 	var victim *Entry
-	for _, en := range x.reg {
-		if en.State != StateResident || en.Dirty || en.LockedBy != NoEnv || en.pinned {
-			continue
-		}
-		if victim == nil || en.lastUse < victim.lastUse {
+	for en := x.lru.lruNext; en != &x.lru; en = en.lruNext {
+		if en.State == StateResident && !en.Dirty && en.LockedBy == NoEnv && !en.pinned {
 			victim = en
+			break
 		}
 	}
 	if victim == nil {
 		return mem.NoPage, false
 	}
+	if x.onRecycle != nil {
+		x.onRecycle(victim)
+	}
 	p := victim.Page
-	delete(x.reg, victim.Block)
+	x.forget(victim)
 	if p != mem.NoPage {
 		x.M.Unref(p)
 	}

@@ -1,7 +1,9 @@
 package xn
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"xok/internal/disk"
 	"xok/internal/kernel"
@@ -25,7 +27,7 @@ type Snapshot struct {
 	freeWords []uint64
 	freeN     int64
 
-	entries  []Entry // registry, flattened; waiters nil, nothing in flight
+	entries  []Entry // registry by lastUse; waiters nil, nothing in flight
 	useClock uint64
 
 	onDiskOwns map[disk.BlockNo][]udf.Extent
@@ -84,8 +86,11 @@ func (x *XN) Snapshot() (*Snapshot, error) {
 		}
 		cp := *en
 		cp.waiters = nil
+		cp.lruPrev, cp.lruNext = nil, nil
 		s.entries = append(s.entries, cp)
 	}
+	// In recency order, so every fork relinks its list in one pass.
+	slices.SortFunc(s.entries, func(a, b Entry) int { return cmp.Compare(a.lastUse, b.lastUse) })
 	for b, owns := range x.onDiskOwns {
 		s.onDiskOwns[b] = owns
 	}
@@ -123,6 +128,9 @@ func ForkXN(s *Snapshot, k *kernel.Kernel) *XN {
 	for i := range s.entries {
 		en := s.entries[i]
 		x.reg[en.Block] = &en
+		if en.lastUse != 0 { // touched, so on the live XN's list
+			x.lruPush(&en)
+		}
 		if en.Dirty {
 			// Snapshot refuses in-flight flushes, so every dirty
 			// entry is a flush-behind candidate again.

@@ -149,6 +149,13 @@ type XN struct {
 	// cross-machine coupling) once machines run on parallel workers.
 	useClock uint64
 
+	// lru is the sentinel of the recency list: lru.lruNext is the
+	// least recently touched registry entry, lru.lruPrev the most.
+	// onRecycle, when set, sees each RecycleLRU victim before it is
+	// evicted (the tests check it against a registry scan).
+	lru       Entry
+	onRecycle func(victim *Entry)
+
 	// onDiskOwns is what each written metadata block pointed to the
 	// last time it hit the disk; diffing against it on each write
 	// maintains diskRefs.
@@ -218,7 +225,7 @@ func newEmpty(k *kernel.Kernel) *XN {
 	if k.Disk == nil {
 		panic("xn: kernel has no disk")
 	}
-	return &XN{
+	x := &XN{
 		K:          k,
 		D:          k.Disk,
 		M:          k.Mem,
@@ -231,6 +238,8 @@ func newEmpty(k *kernel.Kernel) *XN {
 		diskRefs:   make(map[disk.BlockNo]int),
 		willFree:   make(map[disk.BlockNo]bool),
 	}
+	x.lru.lruPrev, x.lru.lruNext = &x.lru, &x.lru
+	return x
 }
 
 // InstallTemplate verifies the three UDFs and installs a new type in
