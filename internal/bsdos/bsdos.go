@@ -152,335 +152,65 @@ func (s *System) Now() sim.Time { return s.K.Now() }
 func (s *System) Stats() *sim.Stats { return s.K.Stats }
 
 // Spawn starts a top-level UNIX process.
-func (s *System) Spawn(name string, uid uint16, main func(unix.Proc)) *Handle {
+func (s *System) Spawn(name string, uid uint16, main func(unix.Proc)) *unix.Started {
 	pid := s.nextPid
 	s.nextPid++
-	h := &Handle{}
-	h.env = s.K.Spawn(name, func(e *kernel.Env) {
-		e.Creds = cap.UnixCreds(uid)
-		p := &Proc{s: s, e: e, pid: pid, uid: uid, fds: make(map[unix.FD]*file)}
-		main(p)
-		p.closeAll()
-	})
-	return h
+	return unix.Launch(s.K, (*kernelOS)(s), name, pid, uid, main)
 }
 
-// Handle identifies a spawned process.
-type Handle struct{ env *kernel.Env }
+// kernelOS is the BSD half of the UNIX process layer (unix.OS): every
+// call traps, the file system runs in the kernel, and pipes are kernel
+// objects.
+type kernelOS System
 
-// Env exposes the underlying environment.
-func (h *Handle) Env() *kernel.Env { return h.env }
-
-// Proc is one UNIX process on a BSD kernel: every call below traps.
-type Proc struct {
-	s   *System
-	e   *kernel.Env
-	pid int
-	uid uint16
-
-	fds    map[unix.FD]*file
-	nextFD unix.FD
+// trapWork is each call's in-kernel work beyond the trap itself.
+var trapWork = [...]sim.Time{
+	unix.OpGetpid:  sim.CostGetpidWork, // 270 cycles on OpenBSD, Section 7.1
+	unix.OpOpen:    400,                // trap + namei
+	unix.OpCreate:  600,
+	unix.OpRead:    150, // copies through the kernel buffer cache
+	unix.OpWrite:   150,
+	unix.OpSeek:    80,
+	unix.OpClose:   100,
+	unix.OpStat:    300,
+	unix.OpMkdir:   600,
+	unix.OpReaddir: 400, // getdents
+	unix.OpUnlink:  500,
+	unix.OpRmdir:   500,
+	unix.OpRename:  600,
+	unix.OpChmod:   500,
+	unix.OpSymlink: 600,
+	unix.OpSync:    200,
+	unix.OpPipe:    800, // allocates the kernel pipe object
+	unix.OpWait:    200,
 }
 
-type fileKind uint8
+// Charge traps into the kernel.
+func (o *kernelOS) Charge(e *kernel.Env, op unix.Op) { e.Syscall(trapWork[op]) }
 
-const (
-	kindFile fileKind = iota
-	kindPipeR
-	kindPipeW
-)
+// SharedWrite is free: the descriptor table is kernel memory.
+func (o *kernelOS) SharedWrite(*kernel.Env) {}
 
-type file struct {
-	kind fileKind
-	ref  cffs.Ref
-	path string
-	off  int64
-	pipe *bsdPipe
+// Resolve: one file system, no mount table.
+func (o *kernelOS) Resolve(path string) (*cffs.FS, string) { return o.FS, path }
+
+// NewPipe allocates the in-kernel pipe buffer.
+func (o *kernelOS) NewPipe(*kernel.Env, *int64) unix.PipeOS {
+	return &kernelPipe{buf: make([]byte, unix.PipeCapacity)}
 }
 
-// ErrBadFD reports an unknown descriptor — the canonical unix value,
-// identical to what ExOS returns for the same misuse.
-var ErrBadFD = unix.ErrBadFD
-
-var _ unix.Proc = (*Proc)(nil)
-
-// Env exposes the environment.
-func (p *Proc) Env() *kernel.Env { return p.e }
-
-// Getpid traps into the kernel (270 cycles on OpenBSD, Section 7.1).
-func (p *Proc) Getpid() int {
-	p.e.Syscall(sim.CostGetpidWork)
-	return p.pid
-}
-
-// UID returns the process owner.
-func (p *Proc) UID() uint16 { return p.uid }
-
-// Compute charges application CPU time.
-func (p *Proc) Compute(c sim.Time) { p.e.Use(c) }
-
-// Now returns virtual time.
-func (p *Proc) Now() sim.Time { return p.s.K.Now() }
-
-func (p *Proc) allocFD(f *file) unix.FD {
-	fd := p.nextFD
-	p.nextFD++
-	p.fds[fd] = f
-	return fd
-}
-
-func (p *Proc) lookupFD(fd unix.FD) (*file, error) {
-	f, ok := p.fds[fd]
-	if !ok {
-		return nil, ErrBadFD
-	}
-	return f, nil
-}
-
-// Open traps and resolves the path in the kernel.
-func (p *Proc) Open(path string) (unix.FD, error) {
-	p.e.Syscall(400) // trap + namei
-	ref, in, err := p.s.FS.Lookup(p.e, path)
-	if err != nil {
-		return -1, err
-	}
-	if in.Kind == cffs.KindDir {
-		return -1, cffs.ErrIsDir
-	}
-	return p.allocFD(&file{kind: kindFile, ref: ref, path: path}), nil
-}
-
-// Create traps, truncating any existing file.
-func (p *Proc) Create(path string, mode uint32) (unix.FD, error) {
-	p.e.Syscall(600)
-	if _, _, err := p.s.FS.Lookup(p.e, path); err == nil {
-		if err := p.s.FS.Unlink(p.e, path); err != nil {
-			return -1, err
-		}
-	}
-	ref, err := p.s.FS.Create(p.e, path, uint32(p.uid), uint32(p.uid), mode)
-	if err != nil {
-		return -1, err
-	}
-	return p.allocFD(&file{kind: kindFile, ref: ref, path: path}), nil
-}
-
-// Read traps and copies through the kernel buffer cache.
-func (p *Proc) Read(fd unix.FD, buf []byte) (int, error) {
-	f, err := p.lookupFD(fd)
-	if err != nil {
-		return 0, err
-	}
-	p.e.Syscall(150)
-	switch f.kind {
-	case kindPipeR:
-		return f.pipe.read(p.e, buf)
-	case kindPipeW:
-		return 0, unix.ErrBadFD // read from write end
-	}
-	n, err := p.s.FS.ReadAt(p.e, f.ref, f.off, buf)
-	f.off += int64(n)
-	return n, err
-}
-
-// Write traps and copies through the kernel buffer cache.
-func (p *Proc) Write(fd unix.FD, buf []byte) (int, error) {
-	f, err := p.lookupFD(fd)
-	if err != nil {
-		return 0, err
-	}
-	p.e.Syscall(150)
-	switch f.kind {
-	case kindPipeW:
-		return f.pipe.write(p.e, buf)
-	case kindPipeR:
-		return 0, unix.ErrBadFD // write to read end
-	}
-	n, err := p.s.FS.WriteAt(p.e, f.ref, f.off, buf)
-	f.off += int64(n)
-	return n, err
-}
-
-// Seek traps.
-func (p *Proc) Seek(fd unix.FD, off int64, whence int) (int64, error) {
-	f, err := p.lookupFD(fd)
-	if err != nil {
-		return 0, err
-	}
-	if f.kind != kindFile {
-		return 0, unix.ErrSeekPipe
-	}
-	p.e.Syscall(80)
-	pos := f.off
-	switch whence {
-	case unix.SeekSet:
-		pos = off
-	case unix.SeekCur:
-		pos += off
-	case unix.SeekEnd:
-		// Follow the descriptor's inode, not its path (see exos.Seek).
-		in, err := p.s.FS.RefInode(p.e, f.ref)
-		if err != nil {
-			return 0, err
-		}
-		pos = int64(in.Size) + off
-	default:
-		return 0, unix.ErrInval
-	}
-	if pos < 0 {
-		// A negative offset must not become the descriptor position:
-		// a later read would slice a page at a negative index.
-		return 0, unix.ErrInval
-	}
-	f.off = pos
-	return f.off, nil
-}
-
-// Close traps.
-func (p *Proc) Close(fd unix.FD) error {
-	f, err := p.lookupFD(fd)
-	if err != nil {
-		return err
-	}
-	p.e.Syscall(100)
-	delete(p.fds, fd)
-	if f.pipe != nil {
-		f.pipe.closeEnd(p.e, f.kind == kindPipeW)
-	}
-	return nil
-}
-
-// Stat traps.
-func (p *Proc) Stat(path string) (unix.Stat, error) {
-	p.e.Syscall(300)
-	in, err := p.s.FS.Stat(p.e, path)
-	if err != nil {
-		return unix.Stat{}, err
-	}
-	return unix.Stat{
-		Size: int64(in.Size), Mode: in.Mode, UID: in.UID, GID: in.GID,
-		MTime: in.MTime, IsDir: in.Kind == cffs.KindDir,
-	}, nil
-}
-
-// Mkdir traps.
-func (p *Proc) Mkdir(path string, mode uint32) error {
-	p.e.Syscall(600)
-	return p.s.FS.Mkdir(p.e, path, uint32(p.uid), uint32(p.uid), mode)
-}
-
-// Readdir traps (getdents).
-func (p *Proc) Readdir(path string) ([]unix.DirEnt, error) {
-	p.e.Syscall(400)
-	ents, err := p.s.FS.Readdir(p.e, path)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]unix.DirEnt, len(ents))
-	for i, in := range ents {
-		out[i] = unix.DirEnt{Name: in.Name, IsDir: in.Kind == cffs.KindDir,
-			IsLink: in.Kind == cffs.KindLink, Size: int64(in.Size)}
-	}
-	return out, nil
-}
-
-// Unlink traps.
-func (p *Proc) Unlink(path string) error {
-	p.e.Syscall(500)
-	return p.s.FS.Unlink(p.e, path)
-}
-
-// Rmdir traps.
-func (p *Proc) Rmdir(path string) error {
-	p.e.Syscall(500)
-	return p.s.FS.Rmdir(p.e, path)
-}
-
-// Rename traps.
-func (p *Proc) Rename(oldPath, newPath string) error {
-	p.e.Syscall(600)
-	return p.s.FS.Rename(p.e, oldPath, newPath)
-}
-
-// Chmod traps.
-func (p *Proc) Chmod(path string, mode uint32) error {
-	p.e.Syscall(500)
-	return p.s.FS.Chmod(p.e, path, mode)
-}
-
-// Symlink traps.
-func (p *Proc) Symlink(target, path string) error {
-	p.e.Syscall(600)
-	return p.s.FS.Symlink(p.e, target, path, uint32(p.uid), uint32(p.uid))
-}
-
-// Sync traps.
-func (p *Proc) Sync() error {
-	p.e.Syscall(200)
-	return p.s.FS.Sync(p.e)
-}
-
-// Pipe traps and allocates the kernel pipe object.
-func (p *Proc) Pipe() (unix.FD, unix.FD, error) {
-	p.e.Syscall(800)
-	pi := &bsdPipe{s: p.s, buf: make([]byte, unix.PipeCapacity), readers: 1, writers: 1}
-	r := p.allocFD(&file{kind: kindPipeR, pipe: pi})
-	w := p.allocFD(&file{kind: kindPipeW, pipe: pi})
-	return r, w, nil
-}
-
-// Spawn is fork+exec: "less than one millisecond on OpenBSD"
+// Fork is fork+exec: "less than one millisecond on OpenBSD"
 // (Section 6.2) plus the exec overlay.
-func (p *Proc) Spawn(name string, f func(unix.Proc)) (unix.Handle, error) {
-	p.s.K.Stats.Inc(sim.CtrForks)
-	p.e.Syscall(0)
-	p.e.Use(sim.CostForkBSD + sim.CostExec)
-	pid := p.s.nextPid
-	p.s.nextPid++
-	uid := p.uid
-	s := p.s
-	// Fork semantics: the child inherits the parent's descriptors.
-	inherited := make(map[unix.FD]*file, len(p.fds))
-	for fd, fl := range p.fds {
-		inherited[fd] = fl
-		if fl.pipe != nil {
-			fl.pipe.addRef(fl.kind == kindPipeW)
-		}
-	}
-	nextFD := p.nextFD
-	env := s.K.Spawn(name, func(e *kernel.Env) {
-		e.Creds = cap.UnixCreds(uid)
-		child := &Proc{s: s, e: e, pid: pid, uid: uid, fds: inherited, nextFD: nextFD}
-		f(child)
-		child.closeAll()
-	})
-	return &procHandle{parent: p, env: env}, nil
+func (o *kernelOS) Fork(e *kernel.Env) int {
+	e.Syscall(0)
+	e.Use(sim.CostForkBSD + sim.CostExec)
+	pid := o.nextPid
+	o.nextPid++
+	return pid
 }
 
-// closeAll releases every descriptor at process exit.
-func (p *Proc) closeAll() {
-	for fd := unix.FD(0); fd < p.nextFD; fd++ {
-		f, ok := p.fds[fd]
-		if !ok {
-			continue
-		}
-		delete(p.fds, fd)
-		if f.pipe != nil {
-			f.pipe.closeEnd(p.e, f.kind == kindPipeW)
-		}
-	}
-}
+// Enter needs no setup: the process is the shared one.
+func (o *kernelOS) Enter(p *unix.Process, _ bool) unix.Proc { return p }
 
-type procHandle struct {
-	parent *Proc
-	env    *kernel.Env
-}
-
-// Wait blocks until the child exits.
-func (h *procHandle) Wait() {
-	h.parent.e.Syscall(200)
-	h.parent.e.WaitFor(h.env)
-}
-
-// Env exposes the child's environment.
-func (h *procHandle) Env() *kernel.Env { return h.env }
+// Exit needs no cleanup.
+func (o *kernelOS) Exit(*unix.Process) {}

@@ -126,37 +126,11 @@ func (s *System) Now() sim.Time { return s.K.Now() }
 // Stats exposes the machine counters.
 func (s *System) Stats() *sim.Stats { return s.K.Stats }
 
-// sharedWrite accounts one write to shared global state.
-func (s *System) sharedWrite(e *kernel.Env) {
-	if s.Cfg.Protect {
-		s.K.Stats.Add(sim.CtrProtCalls, 3)
-		e.Syscalls(3)
-	}
-}
-
 // Spawn starts a top-level UNIX process running main as uid. The
-// returned handle's Wait only works from inside another process; from
-// the outside, call Run to drain the machine.
-func (s *System) Spawn(name string, uid uint16, main func(unix.Proc)) *Handle {
+// returned handle's Env is for waiting from inside another process;
+// from the outside, call Run to drain the machine.
+func (s *System) Spawn(name string, uid uint16, main func(unix.Proc)) *unix.Started {
 	pid := s.nextPid
 	s.nextPid++
-	h := &Handle{}
-	h.env = s.K.Spawn(name, func(e *kernel.Env) {
-		e.Creds = cap.UnixCreds(uid)
-		p := &Proc{s: s, e: e, pid: pid, uid: uid, fds: make(map[unix.FD]*file)}
-		s.procs[pid] = p
-		main(p)
-		p.closeAll()
-		delete(s.procs, pid)
-	})
-	return h
+	return unix.Launch(s.K, (*libOS)(s), name, pid, uid, main)
 }
-
-// Handle identifies a spawned process.
-type Handle struct {
-	env *kernel.Env
-}
-
-// Env exposes the underlying environment (tests and the workload
-// harness use it).
-func (h *Handle) Env() *kernel.Env { return h.env }

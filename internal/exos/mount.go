@@ -54,11 +54,3 @@ func (s *System) resolve(path string) (*cffs.FS, string) {
 	}
 	return s.FS, path
 }
-
-// resolve2 maps two paths (rename) and reports whether they live on
-// the same file system.
-func (s *System) resolve2(a, b string) (*cffs.FS, string, string, bool) {
-	fsA, ra := s.resolve(a)
-	fsB, rb := s.resolve(b)
-	return fsA, ra, rb, fsA == fsB
-}

@@ -1,346 +1,85 @@
 package exos
 
 import (
-	"xok/internal/cap"
 	"xok/internal/cffs"
 	"xok/internal/kernel"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
 
-// Proc is one UNIX process under ExOS: unix.Proc implemented as
-// library code in the process's own environment.
+// Proc is one UNIX process under ExOS: the shared unix.Process, whose
+// calls run as library code in the process's own environment, plus
+// the ExOS-only calls (signals).
 type Proc struct {
-	s   *System
-	e   *kernel.Env
-	pid int
-	uid uint16
-
-	fds    map[unix.FD]*file
-	nextFD unix.FD
+	*unix.Process
+	s *System
 }
-
-type fileKind uint8
-
-const (
-	kindFile fileKind = iota
-	kindPipeR
-	kindPipeW
-)
-
-type file struct {
-	kind fileKind
-	fs   *cffs.FS
-	ref  cffs.Ref
-	path string
-	off  int64
-	pipe *pipe
-}
-
-// Errors. The canonical unix values: every personality must return
-// identical errno values for identical misuse (internal/difftest
-// compares them by identity across personalities).
-var (
-	ErrBadFD = unix.ErrBadFD
-)
-
-var _ unix.Proc = (*Proc)(nil)
-
-// Env exposes the environment (used by specialized applications that
-// bypass the UNIX layer — the whole point of an exokernel).
-func (p *Proc) Env() *kernel.Env { return p.e }
 
 // Sys returns the system this process runs on.
 func (p *Proc) Sys() *System { return p.s }
 
-// Getpid is a protected procedure call into the library — no kernel
-// crossing (Section 7.1: 100 cycles vs 270 on OpenBSD).
-func (p *Proc) Getpid() int {
-	p.e.LibCall(sim.CostGetpidWork)
-	return p.pid
+// libOS is ExOS's half of the UNIX process layer (unix.OS): library
+// calls instead of traps, shared-state protection, the mount table,
+// pipes over software regions, and the page-table-scanning fork.
+type libOS System
+
+// Charge bills a call's fixed cost. Most calls are library code whose
+// work the C-FFS library and XN charge themselves.
+func (o *libOS) Charge(e *kernel.Env, op unix.Op) {
+	switch op {
+	case unix.OpGetpid:
+		// A protected procedure call into the library, no kernel
+		// crossing (Section 7.1: 100 cycles vs 270 on OpenBSD).
+		e.LibCall(sim.CostGetpidWork)
+	case unix.OpSeek:
+		e.LibCall(20)
+	case unix.OpWait:
+		e.Syscall(200)
+	}
 }
 
-// UID returns the process owner.
-func (p *Proc) UID() uint16 { return p.uid }
-
-// Compute charges application CPU time.
-func (p *Proc) Compute(c sim.Time) { p.e.Use(c) }
-
-// Now returns virtual time.
-func (p *Proc) Now() sim.Time { return p.s.K.Now() }
-
-func (p *Proc) allocFD(f *file) unix.FD {
-	// The fd table is shared global state (Section 5.2.1).
-	p.s.sharedWrite(p.e)
-	fd := p.nextFD
-	p.nextFD++
-	p.fds[fd] = f
-	return fd
+// SharedWrite accounts one write to shared global state: with Protect
+// on, three system calls precede it (Section 6.3).
+func (o *libOS) SharedWrite(e *kernel.Env) {
+	if o.Cfg.Protect {
+		o.K.Stats.Add(sim.CtrProtCalls, 3)
+		e.Syscalls(3)
+	}
 }
 
-func (p *Proc) lookupFD(fd unix.FD) (*file, error) {
-	f, ok := p.fds[fd]
-	if !ok {
-		return nil, ErrBadFD
-	}
-	return f, nil
+// Resolve maps a path through the mount table (see Mount).
+func (o *libOS) Resolve(path string) (*cffs.FS, string) {
+	return (*System)(o).resolve(path)
 }
 
-// Open opens an existing file.
-func (p *Proc) Open(path string) (unix.FD, error) {
-	fs, rel := p.s.resolve(path)
-	ref, in, err := fs.Lookup(p.e, rel)
-	if err != nil {
-		return -1, err
-	}
-	if in.Kind == cffs.KindDir {
-		return -1, cffs.ErrIsDir
-	}
-	return p.allocFD(&file{kind: kindFile, fs: fs, ref: ref, path: rel}), nil
+// NewPipe builds a pipe at the configured trust level.
+func (o *libOS) NewPipe(e *kernel.Env, count *int64) unix.PipeOS {
+	return newPipe(e, o.Cfg.SharedMemPipes, count)
 }
 
-// Create makes (or truncates-by-recreating) a file and opens it.
-func (p *Proc) Create(path string, mode uint32) (unix.FD, error) {
-	fs, rel := p.s.resolve(path)
-	if _, _, err := fs.Lookup(p.e, rel); err == nil {
-		if err := fs.Unlink(p.e, rel); err != nil {
-			return -1, err
-		}
-	}
-	ref, err := fs.Create(p.e, rel, uint32(p.uid), uint32(p.uid), mode)
-	if err != nil {
-		return -1, err
-	}
-	return p.allocFD(&file{kind: kindFile, fs: fs, ref: ref, path: rel}), nil
-}
-
-// Read reads from the descriptor's current offset.
-func (p *Proc) Read(fd unix.FD, buf []byte) (int, error) {
-	f, err := p.lookupFD(fd)
-	if err != nil {
-		return 0, err
-	}
-	switch f.kind {
-	case kindPipeR:
-		return f.pipe.read(p.e, buf)
-	case kindPipeW:
-		return 0, unix.ErrBadFD // read from write end
-	}
-	n, err := f.fs.ReadAt(p.e, f.ref, f.off, buf)
-	f.off += int64(n)
-	return n, err
-}
-
-// Write writes at the descriptor's current offset.
-func (p *Proc) Write(fd unix.FD, buf []byte) (int, error) {
-	f, err := p.lookupFD(fd)
-	if err != nil {
-		return 0, err
-	}
-	switch f.kind {
-	case kindPipeW:
-		return f.pipe.write(p.e, buf)
-	case kindPipeR:
-		return 0, unix.ErrBadFD // write to read end
-	}
-	n, err := f.fs.WriteAt(p.e, f.ref, f.off, buf)
-	f.off += int64(n)
-	return n, err
-}
-
-// Seek repositions the descriptor.
-func (p *Proc) Seek(fd unix.FD, off int64, whence int) (int64, error) {
-	f, err := p.lookupFD(fd)
-	if err != nil {
-		return 0, err
-	}
-	if f.kind != kindFile {
-		return 0, unix.ErrSeekPipe
-	}
-	p.e.LibCall(20)
-	pos := f.off
-	switch whence {
-	case unix.SeekSet:
-		pos = off
-	case unix.SeekCur:
-		pos += off
-	case unix.SeekEnd:
-		// Size comes from the descriptor's inode, not its path: the
-		// descriptor must follow the file across rename and go stale
-		// (not resolve a new occupant) after unlink.
-		in, err := f.fs.RefInode(p.e, f.ref)
-		if err != nil {
-			return 0, err
-		}
-		pos = int64(in.Size) + off
-	default:
-		return 0, unix.ErrInval
-	}
-	if pos < 0 {
-		// A negative offset must not become the descriptor position:
-		// a later read would slice a page at a negative index.
-		return 0, unix.ErrInval
-	}
-	f.off = pos
-	return f.off, nil
-}
-
-// Close releases the descriptor.
-func (p *Proc) Close(fd unix.FD) error {
-	f, err := p.lookupFD(fd)
-	if err != nil {
-		return err
-	}
-	p.s.sharedWrite(p.e)
-	delete(p.fds, fd)
-	if f.pipe != nil {
-		f.pipe.closeEnd(p.e, f.kind == kindPipeW)
-	}
-	return nil
-}
-
-// Stat returns file metadata.
-func (p *Proc) Stat(path string) (unix.Stat, error) {
-	fs, rel := p.s.resolve(path)
-	in, err := fs.Stat(p.e, rel)
-	if err != nil {
-		return unix.Stat{}, err
-	}
-	return unix.Stat{
-		Size: int64(in.Size), Mode: in.Mode, UID: in.UID, GID: in.GID,
-		MTime: in.MTime, IsDir: in.Kind == cffs.KindDir,
-	}, nil
-}
-
-// Mkdir creates a directory.
-func (p *Proc) Mkdir(path string, mode uint32) error {
-	fs, rel := p.s.resolve(path)
-	return fs.Mkdir(p.e, rel, uint32(p.uid), uint32(p.uid), mode)
-}
-
-// Readdir lists a directory.
-func (p *Proc) Readdir(path string) ([]unix.DirEnt, error) {
-	fs, rel := p.s.resolve(path)
-	ents, err := fs.Readdir(p.e, rel)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]unix.DirEnt, len(ents))
-	for i, in := range ents {
-		out[i] = unix.DirEnt{Name: in.Name, IsDir: in.Kind == cffs.KindDir,
-			IsLink: in.Kind == cffs.KindLink, Size: int64(in.Size)}
-	}
-	return out, nil
-}
-
-// Unlink removes a file.
-func (p *Proc) Unlink(path string) error {
-	fs, rel := p.s.resolve(path)
-	return fs.Unlink(p.e, rel)
-}
-
-// Rmdir removes an empty directory.
-func (p *Proc) Rmdir(path string) error {
-	fs, rel := p.s.resolve(path)
-	return fs.Rmdir(p.e, rel)
-}
-
-// Rename renames a file. Cross-mount renames are rejected (EXDEV).
-func (p *Proc) Rename(oldPath, newPath string) error {
-	fs, ra, rb, same := p.s.resolve2(oldPath, newPath)
-	if !same {
-		return unix.ErrXDev
-	}
-	return fs.Rename(p.e, ra, rb)
-}
-
-// Chmod changes permission bits.
-func (p *Proc) Chmod(path string, mode uint32) error {
-	fs, rel := p.s.resolve(path)
-	return fs.Chmod(p.e, rel, mode)
-}
-
-// Symlink creates a symbolic link.
-func (p *Proc) Symlink(target, path string) error {
-	fs, rel := p.s.resolve(path)
-	return fs.Symlink(p.e, target, rel, uint32(p.uid), uint32(p.uid))
-}
-
-// Sync flushes all mounted file systems (they share one XN, so one
-// pass covers everything).
-func (p *Proc) Sync() error { return p.s.FS.Sync(p.e) }
-
-// Pipe creates a pipe pair using the configured trust level.
-func (p *Proc) Pipe() (unix.FD, unix.FD, error) {
-	pi := newPipe(p.s, p.e, p.s.Cfg.SharedMemPipes)
-	r := p.allocFD(&file{kind: kindPipeR, pipe: pi})
-	w := p.allocFD(&file{kind: kindPipeW, pipe: pi})
-	return r, w, nil
-}
-
-// Spawn forks and execs a child process. ExOS fork scans the page
-// table marking pages copy-on-write through batched system calls
-// (~6 ms, Section 6.2); exec overlays a demand-loaded image.
-func (p *Proc) Spawn(name string, f func(unix.Proc)) (unix.Handle, error) {
-	p.s.K.Stats.Inc(sim.CtrForks)
-	p.s.sharedWrite(p.e) // process map update
+// Fork charges ExOS fork: it scans the page table marking pages
+// copy-on-write through batched system calls (~6 ms, Section 6.2),
+// and exec overlays a demand-loaded image.
+func (o *libOS) Fork(e *kernel.Env) int {
 	// Batched PTE updates: a handful of traps cover the scan.
-	p.e.Syscalls(8)
-	p.e.Use(sim.CostForkExOS + sim.CostExec)
-	pid := p.s.nextPid
-	p.s.nextPid++
-	uid := p.uid
-	s := p.s
-	// Fork semantics: the child inherits the parent's descriptors
-	// (sharing the open-file objects and offsets).
-	inherited := make(map[unix.FD]*file, len(p.fds))
-	for fd, fl := range p.fds {
-		inherited[fd] = fl
-		if fl.pipe != nil {
-			fl.pipe.addRef(fl.kind == kindPipeW)
-		}
+	e.Syscalls(8)
+	e.Use(sim.CostForkExOS + sim.CostExec)
+	pid := o.nextPid
+	o.nextPid++
+	return pid
+}
+
+// Enter enters the process into the shared process map. A forked
+// child first takes its early COW faults (stack/data pages the fork
+// call itself was using were already copied eagerly).
+func (o *libOS) Enter(p *unix.Process, forked bool) unix.Proc {
+	if forked {
+		p.Env().Use(4 * sim.CostCOWFault)
 	}
-	nextFD := p.nextFD
-	env := s.K.Spawn(name, func(e *kernel.Env) {
-		e.Creds = cap.UnixCreds(uid)
-		// The child's early COW faults (stack/data pages the fork
-		// call itself was using were already copied eagerly).
-		e.Use(4 * sim.CostCOWFault)
-		child := &Proc{s: s, e: e, pid: pid, uid: uid, fds: inherited, nextFD: nextFD}
-		s.procs[pid] = child
-		f(child)
-		child.closeAll()
-		delete(s.procs, pid)
-	})
-	return &procHandle{parent: p, env: env}, nil
+	ep := &Proc{Process: p, s: (*System)(o)}
+	o.procs[p.PID()] = ep
+	return ep
 }
 
-// closeAll releases every descriptor at process exit (UNIX closes a
-// dying process's files; pipes must see their ends drop).
-func (p *Proc) closeAll() {
-	for fd := unix.FD(0); fd < p.nextFD; fd++ {
-		f, ok := p.fds[fd]
-		if !ok {
-			continue
-		}
-		delete(p.fds, fd)
-		if f.pipe != nil {
-			f.pipe.closeEnd(p.e, f.kind == kindPipeW)
-		}
-	}
-}
-
-type procHandle struct {
-	parent *Proc
-	env    *kernel.Env
-}
-
-// Wait blocks the parent until the child exits (wait4 semantics).
-func (h *procHandle) Wait() {
-	h.parent.e.Syscall(200)
-	h.parent.e.WaitFor(h.env)
-}
-
-// Env exposes the child's environment (the workload launcher's
-// wait-any needs it).
-func (h *procHandle) Env() *kernel.Env { return h.env }
+// Exit removes the process from the process map.
+func (o *libOS) Exit(p *unix.Process) { delete(o.procs, p.PID()) }

@@ -36,15 +36,15 @@ func (p *Proc) Kill(pid int, sig int) error {
 	if !ok {
 		return ErrNoProcess
 	}
-	return p.e.IPCSend(target.e, kernel.IPCMsg{Kind: ipcKindSignal, A: int64(sig), B: int64(p.pid)})
+	return p.Env().IPCSend(target.Env(), kernel.IPCMsg{Kind: ipcKindSignal, A: int64(sig), B: int64(p.PID())})
 }
 
 // Signals drains and returns all pending signals (signal number,
 // sender pid), in delivery order.
 func (p *Proc) Signals() [][2]int {
 	var out [][2]int
-	for p.e.IPCPending() > 0 {
-		m, ok := p.e.IPCTryRecv()
+	for p.Env().IPCPending() > 0 {
+		m, ok := p.Env().IPCTryRecv()
 		if !ok {
 			break
 		}
@@ -58,7 +58,7 @@ func (p *Proc) Signals() [][2]int {
 // Pause blocks until a signal arrives, then returns it (sig, sender).
 func (p *Proc) Pause() (int, int) {
 	for {
-		m := p.e.IPCRecv()
+		m := p.Env().IPCRecv()
 		if m.Kind == ipcKindSignal {
 			return int(m.A), int(m.B)
 		}

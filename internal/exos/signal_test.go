@@ -13,7 +13,7 @@ func TestSignalDelivery(t *testing.T) {
 	var waiterPid int
 	s.Spawn("waiter", 0, func(p unix.Proc) {
 		ep := p.(*Proc)
-		waiterPid = ep.pid
+		waiterPid = ep.PID()
 		sig, from := ep.Pause()
 		got <- [2]int{sig, from}
 	})

@@ -1,7 +1,8 @@
 // Package unix defines the POSIX-flavored process interface that the
-// simulated applications (internal/apps) are written against. The same
-// application binaries — cp, gzip, pax, gcc, diff, ... — run unmodified
-// on every OS personality in the repository:
+// simulated applications (internal/apps) are written against, and
+// implements it once. The same application binaries — cp, gzip, pax,
+// gcc, diff, ... — run unmodified on every OS personality in the
+// repository:
 //
 //   - internal/exos: the ExOS library operating system on Xok, where
 //     these calls are unprivileged library code;
@@ -10,7 +11,12 @@
 //
 // This mirrors the paper's methodology: identical unmodified UNIX
 // applications measured across Xok/ExOS, OpenBSD/C-FFS, OpenBSD and
-// FreeBSD (Section 6).
+// FreeBSD (Section 6). The UNIX semantics live here: Process owns the
+// descriptor table, offsets, every call's error behaviour, fork-time
+// inheritance and exit cleanup, and Pipe owns the ring and its end
+// accounting. A personality supplies only what differs through OS and
+// PipeOS: what each call costs, path resolution, where pipe bytes live
+// and how a blocked end hands off, and fork's charges and child setup.
 package unix
 
 import (
@@ -23,12 +29,12 @@ import (
 // process's descriptor table.
 type FD int
 
-// Canonical errors. Every personality returns these exact values for
-// the corresponding misuse, so the same program observes the same
-// errno on Xok/ExOS and on the BSD models — the paper's systems differ
-// in cost, never in semantics. internal/difftest's cross-personality
-// fuzzer compares errors by identity and flags any personality that
-// invents its own.
+// Canonical errors. Process returns these exact values for the
+// corresponding misuse on every personality, so the same program
+// observes the same errno on Xok/ExOS and on the BSD models — the
+// paper's systems differ in cost, never in semantics.
+// internal/difftest's cross-personality fuzzer compares errors by
+// identity and flags any divergence.
 var (
 	// ErrBadFD is EBADF: the descriptor is closed, was never open, or
 	// names the wrong end of a pipe for the operation.
