@@ -135,20 +135,9 @@ func WithFaults(p *fault.Plan) Option {
 	return func(d *Disk) { d.faults = p }
 }
 
-// WithTrace attaches a tracer at construction: each spindle becomes a
-// trace lane and every request gets queue and service spans plus
-// latency-histogram samples. Option order does not matter — lanes are
-// named once the spindle count is final.
-func WithTrace(tr *trace.Tracer, pid int64) Option {
-	return func(d *Disk) {
-		d.tr = tr
-		d.trPID = pid
-	}
-}
-
 // New returns a disk with nblocks 4-KB blocks: a single spindle unless
-// WithStriping says otherwise, silent unless WithTrace, fault-free
-// unless WithFaults.
+// WithStriping says otherwise, fault-free unless WithFaults, and silent
+// until SetTrace.
 func New(eng *sim.Engine, stats *sim.Stats, nblocks int64, opts ...Option) *Disk {
 	d := &Disk{
 		eng:        eng,
@@ -161,14 +150,12 @@ func New(eng *sim.Engine, stats *sim.Stats, nblocks int64, opts ...Option) *Disk
 	for _, opt := range opts {
 		opt(d)
 	}
-	if d.tr.Enabled() {
-		d.SetTrace(d.tr, d.trPID)
-	}
 	return d
 }
 
-// SetTrace attaches a tracer after construction (prefer WithTrace). A
-// nil tracer turns tracing off.
+// SetTrace attaches a tracer: each spindle becomes a trace lane and
+// every request gets queue and service spans plus latency-histogram
+// samples. A nil tracer turns tracing off.
 func (d *Disk) SetTrace(tr *trace.Tracer, pid int64) {
 	d.tr = tr
 	d.trPID = pid

@@ -228,7 +228,7 @@ func (m *PhysMem) Guard(p PageNo) (xcap.Capability, error) {
 }
 
 // Ref pins a frame (a mapping or a buffer-registry entry references
-// it). RefCount is exposed information.
+// it).
 func (m *PhysMem) Ref(p PageNo) error {
 	if !m.valid(p) || m.pages[p].free {
 		return ErrBadPage
@@ -247,14 +247,6 @@ func (m *PhysMem) Unref(p PageNo) error {
 	}
 	m.pages[p].refCount--
 	return nil
-}
-
-// RefCount returns the pin count of frame p.
-func (m *PhysMem) RefCount(p PageNo) int {
-	if !m.valid(p) || m.pages[p].free {
-		return 0
-	}
-	return m.pages[p].refCount
 }
 
 // Data returns the 4-KB backing store of frame p, allocating it lazily.
