@@ -69,11 +69,6 @@ type Config struct {
 	DiskBlocks int64
 	MemPages   int
 
-	// Spindles > 1 builds the volume as a RAID-0 stripe set of that
-	// many disks, StripeUnit blocks per unit (see kernel.Config).
-	Spindles   int
-	StripeUnit int64
-
 	// Trace and Faults are handed straight to the kernel: the
 	// observability sink and the deterministic fault plan (both nil by
 	// default).
@@ -109,15 +104,13 @@ func Boot(v Variant, cfg Config) *System {
 		cfg.MemPages = 16384
 	}
 	k := kernel.New(kernel.Config{
-		Name:       v.String(),
-		TrapCost:   sim.CostTrapBSD,
-		MemPages:   cfg.MemPages,
-		DiskSize:   cfg.DiskBlocks,
-		Spindles:   cfg.Spindles,
-		StripeUnit: cfg.StripeUnit,
-		Trace:      cfg.Trace,
-		Faults:     cfg.Faults,
-		Eng:        cfg.Eng,
+		Name:     v.String(),
+		TrapCost: sim.CostTrapBSD,
+		MemPages: cfg.MemPages,
+		DiskSize: cfg.DiskBlocks,
+		Trace:    cfg.Trace,
+		Faults:   cfg.Faults,
+		Eng:      cfg.Eng,
 	})
 	x := xn.New(k)
 	x.FreeCost = true   // in-kernel FS: no protection-boundary charging

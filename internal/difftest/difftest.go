@@ -75,11 +75,6 @@ type Options struct {
 	// positions, not just memory and disk.
 	Snapshot bool
 
-	// DiskBlocks/MemPages size the machines (0 = 16384 / 2048 — small
-	// keeps a 500-seed run fast).
-	DiskBlocks int64
-	MemPages   int
-
 	// mutate, when set, rewrites a recorded outcome — the mutation-test
 	// hook: tests inject a fake divergence on one personality and
 	// assert the harness catches, shrinks and replays it. It is called
@@ -93,6 +88,13 @@ type Options struct {
 	snaps map[machine.Personality]*machine.Snapshot
 }
 
+// diskBlocks and memPages size every machine a campaign boots: small
+// keeps a 500-seed run fast.
+const (
+	diskBlocks = 16384
+	memPages   = 2048
+)
+
 // Defaults fills unset fields.
 func (o Options) Defaults() Options {
 	if o.Seeds == 0 {
@@ -103,12 +105,6 @@ func (o Options) Defaults() Options {
 	}
 	if o.BaseSeed == 0 {
 		o.BaseSeed = 1
-	}
-	if o.DiskBlocks == 0 {
-		o.DiskBlocks = 16384
-	}
-	if o.MemPages == 0 {
-		o.MemPages = 2048
 	}
 	return o
 }
@@ -468,8 +464,8 @@ func (o *Options) runProgram(pers machine.Personality, steps []Step, keep []int,
 	}
 	m, err := machine.New(machine.Config{
 		Personality: pers,
-		DiskBlocks:  o.DiskBlocks,
-		MemPages:    o.MemPages,
+		DiskBlocks:  diskBlocks,
+		MemPages:    memPages,
 		Faults:      plan,
 		Trace:       tr,
 	})
@@ -510,7 +506,7 @@ func (o *Options) finishProgram(m machine.Machine, persName string, steps []Step
 	// AuditImage consumes img; Close returns the machine's page frames
 	// and media blocks to the shared pool. Together they make a seed ×
 	// personality cell ~allocation-neutral at steady state.
-	res.Audit = cffs.AuditImage(img, o.DiskBlocks, fsName, fsCfg)
+	res.Audit = cffs.AuditImage(img, diskBlocks, fsName, fsCfg)
 	m.Close()
 	return res
 }
@@ -538,8 +534,8 @@ func (o *Options) bootSnapshots() (func(), error) {
 		}
 		m, err := machine.New(machine.Config{
 			Personality: pers,
-			DiskBlocks:  o.DiskBlocks,
-			MemPages:    o.MemPages,
+			DiskBlocks:  diskBlocks,
+			MemPages:    memPages,
 			Faults:      plan,
 			Trace:       tr,
 		})

@@ -49,11 +49,6 @@ type Config struct {
 	// MemPages sizes physical memory (default 16384 pages = 64 MB).
 	MemPages int
 
-	// Spindles > 1 builds the volume as a RAID-0 stripe set of that
-	// many disks, StripeUnit blocks per unit (see kernel.Config).
-	Spindles   int
-	StripeUnit int64
-
 	// Trace and Faults are handed straight to the kernel: the
 	// observability sink and the deterministic fault plan (both nil by
 	// default, costing one nil check per decision point).
@@ -92,15 +87,13 @@ func Boot(cfg Config) *System {
 		cfg.MemPages = 16384
 	}
 	k := kernel.New(kernel.Config{
-		Name:       "xok",
-		TrapCost:   sim.CostTrapXok,
-		MemPages:   cfg.MemPages,
-		DiskSize:   cfg.DiskBlocks,
-		Spindles:   cfg.Spindles,
-		StripeUnit: cfg.StripeUnit,
-		Trace:      cfg.Trace,
-		Faults:     cfg.Faults,
-		Eng:        cfg.Eng,
+		Name:     "xok",
+		TrapCost: sim.CostTrapXok,
+		MemPages: cfg.MemPages,
+		DiskSize: cfg.DiskBlocks,
+		Trace:    cfg.Trace,
+		Faults:   cfg.Faults,
+		Eng:      cfg.Eng,
 	})
 	x := xn.New(k)
 	x.FlushBehind = 512 // C-FFS flush-behind: ~2 MB of dirty data max

@@ -51,10 +51,9 @@ type Config struct {
 	MemPages int      // physical memory size in pages
 	DiskSize int64    // disk size in blocks (0 = no disk)
 
-	// Spindles > 1 builds the disk as a RAID-0 stripe set
-	// (StripeUnit blocks per unit; default 16).
-	Spindles   int
-	StripeUnit int64
+	// Spindles > 1 builds the disk as a RAID-0 stripe set with the
+	// disk's default stripe unit (16 blocks).
+	Spindles int
 
 	// Trace attaches an observability tracer to this machine. Nil —
 	// the default — turns tracing off at the cost of one nil check
@@ -148,7 +147,7 @@ func New(cfg Config) *Kernel {
 	if cfg.DiskSize > 0 {
 		opts := []disk.Option{disk.WithFaults(cfg.Faults)}
 		if cfg.Spindles > 1 {
-			opts = append(opts, disk.WithStriping(cfg.Spindles, cfg.StripeUnit))
+			opts = append(opts, disk.WithStriping(cfg.Spindles, 0))
 		}
 		k.Disk = disk.New(eng, st, cfg.DiskSize, opts...)
 	}

@@ -107,7 +107,7 @@ func Fork(s *Snapshot) *Kernel {
 	if cfg.DiskSize > 0 {
 		opts := []disk.Option{disk.WithFaults(pl)}
 		if cfg.Spindles > 1 {
-			opts = append(opts, disk.WithStriping(cfg.Spindles, cfg.StripeUnit))
+			opts = append(opts, disk.WithStriping(cfg.Spindles, 0))
 		}
 		k.Disk = disk.New(eng, st, cfg.DiskSize, opts...)
 		k.Disk.Adopt(s.disk)

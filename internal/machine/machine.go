@@ -73,11 +73,6 @@ type Config struct {
 	DiskBlocks int64
 	MemPages   int
 
-	// Spindles > 1 builds the volume as a RAID-0 stripe set of that
-	// many disks, StripeUnit blocks per unit (0 = 16).
-	Spindles   int
-	StripeUnit int64
-
 	// Trace attaches an observability sink (nil = the package default
 	// installed by tools like xok-bench -trace, else off).
 	Trace *trace.Tracer
@@ -165,8 +160,6 @@ func New(cfg Config) (Machine, error) {
 			SharedMemPipes: cfg.SharedMemPipes,
 			DiskBlocks:     cfg.DiskBlocks,
 			MemPages:       cfg.MemPages,
-			Spindles:       cfg.Spindles,
-			StripeUnit:     cfg.StripeUnit,
 			Trace:          cfg.Trace,
 			Faults:         cfg.Faults,
 			Eng:            eng,
@@ -191,8 +184,6 @@ func New(cfg Config) (Machine, error) {
 		s := bsdos.Boot(v, bsdos.Config{
 			DiskBlocks: cfg.DiskBlocks,
 			MemPages:   cfg.MemPages,
-			Spindles:   cfg.Spindles,
-			StripeUnit: cfg.StripeUnit,
 			Trace:      cfg.Trace,
 			Faults:     cfg.Faults,
 			Eng:        eng,

@@ -43,15 +43,10 @@ func TestConfigThreadsGeometryAndFaults(t *testing.T) {
 	m := MustNew(Config{
 		Personality: XokExOS,
 		DiskBlocks:  1 << 15,
-		Spindles:    2,
-		StripeUnit:  32,
 		Faults:      plan,
 	})
 	if m.Kern().Faults != plan {
 		t.Error("fault plan not threaded to the kernel")
-	}
-	if got := m.Disk().Spindles(); got != 2 {
-		t.Errorf("spindles = %d, want 2", got)
 	}
 	img := m.Crash(m.Now() + 1000)
 	if img == nil {

@@ -27,6 +27,10 @@ import (
 // plan's seeded streams, two sweeps with the same plan produce
 // bit-identical outcome digests.
 
+// crashDiskBlocks sizes the sweep's volume, 128 MB: small keeps the
+// per-point remounts fast.
+const crashDiskBlocks = 32768
+
 // CrashConfig parameterizes a crash-enumeration sweep.
 type CrashConfig struct {
 	// Plan is the fault plan template applied to every run (cloned per
@@ -37,10 +41,6 @@ type CrashConfig struct {
 	// MaxPoints caps the number of crash points (0 = 48). Boundaries
 	// beyond the cap are stride-sampled evenly across the workload.
 	MaxPoints int
-
-	// DiskBlocks sizes the volume (0 = 32768 blocks = 128 MB — small
-	// keeps the per-point remounts fast).
-	DiskBlocks int64
 
 	// Parallel bounds the worker pool for the per-point trials; <= 1
 	// runs them serially. Every trial boots its own machine under its
@@ -106,9 +106,6 @@ func CrashEnumerate(cfg CrashConfig) (CrashResult, error) {
 	if cfg.MaxPoints == 0 {
 		cfg.MaxPoints = 48
 	}
-	if cfg.DiskBlocks == 0 {
-		cfg.DiskBlocks = 32768
-	}
 	if cfg.Parallel <= 1 {
 		cfg.Parallel = 1 // zero value = serial; never auto-widen
 	}
@@ -116,7 +113,7 @@ func CrashEnumerate(cfg CrashConfig) (CrashResult, error) {
 		p := plan.Clone()
 		m := machine.MustNew(machine.Config{
 			Personality: machine.XokExOS,
-			DiskBlocks:  cfg.DiskBlocks,
+			DiskBlocks:  crashDiskBlocks,
 			MemPages:    4096,
 			Faults:      p,
 		})
@@ -216,7 +213,7 @@ func CrashEnumerate(cfg CrashConfig) (CrashResult, error) {
 		img := m.Crash(at)
 		// AuditImage consumes img; Close recycles the crashed machine's
 		// buffers for the next trial's boot.
-		viols := cffs.AuditImage(img, cfg.DiskBlocks, "cffs", cffs.DefaultConfig())
+		viols := cffs.AuditImage(img, crashDiskBlocks, "cffs", cffs.DefaultConfig())
 		m.Close()
 		return CrashPoint{At: at, Violations: viols}
 	})
