@@ -26,12 +26,16 @@ race:
 crash:
 	$(GO) test -race -count=1 -run TestCrashEnum ./internal/workload/
 
-# A fixed-seed differential fuzzing campaign: 100 syscall programs,
-# every personality compared against every other (internal/difftest).
-# Deterministic by construction, so a failure here is a real semantic
-# divergence, never flake.
+# A fixed-seed differential fuzzing campaign: 2000 syscall programs,
+# every personality compared against every other (internal/difftest),
+# then a 500-program determinism batch: with a fault plan armed, each
+# program runs twice per personality (once from boot, once forked from
+# a snapshot) and the runs must match bit for bit. Deterministic by
+# construction, so a failure here is a real semantic divergence or a
+# real nondeterminism, never flake.
 fuzz-smoke:
-	$(GO) run ./cmd/xok-bench -run difftest -seeds 100
+	$(GO) run ./cmd/xok-bench -run difftest -seeds 2000
+	$(GO) run ./cmd/xok-bench -run difftest -seeds 500 -faults 42:kill=60,killenv=fuzz
 
 # A short difftest batch and the default Figure 5 sweep, each fanned
 # across 4 workers under the race detector: the canary for
