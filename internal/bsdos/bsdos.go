@@ -19,7 +19,9 @@
 // in-kernel file system code, with no protection-boundary charging.
 // What differs from Xok/ExOS is exactly what differed in the paper:
 // kernel crossings on every call, in-kernel pipe machinery, FFS
-// structure, and buffer cache architecture.
+// structure, and buffer cache architecture. The UNIX semantics are
+// unix.Process, the same code ExOS runs; this package supplies only
+// the trap costs, the kernel pipe and fork's charges (unix.OS).
 package bsdos
 
 import (

@@ -17,6 +17,11 @@
 //   - fork marks pages copy-on-write by scanning the page table with
 //     batched system calls and costs ~6 ms (Section 6.2); exec
 //     overlays a demand-loaded image.
+//
+// The UNIX semantics themselves (descriptors, offsets, pipe ends, fork
+// inheritance, exit cleanup) are unix.Process, shared with the BSD
+// models; this package supplies the ExOS costs and mechanisms above
+// through unix.OS and unix.PipeOS.
 package exos
 
 import (

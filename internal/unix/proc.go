@@ -136,8 +136,9 @@ func (c *child) Wait() {
 	c.parent.e.WaitFor(c.env)
 }
 
-// Env exposes the environment (used by specialized applications that
-// bypass the UNIX layer — the whole point of an exokernel).
+// Env exposes the process's environment, for specialized applications
+// that bypass the UNIX layer (the whole point of an exokernel) and for
+// the workload launcher's wait-any.
 func (p *Process) Env() *kernel.Env { return p.e }
 
 // PID returns the process id without the cost of Getpid.
