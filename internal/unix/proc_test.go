@@ -26,9 +26,10 @@ type charge struct{ cycles, syscalls, protCalls, bytesCopied int64 }
 
 // target is one machine the op table runs on.
 type target struct {
-	name     string
-	pers     machine.Personality
-	emulated bool // run the process under emu.Emulate
+	name        string
+	pers        machine.Personality
+	emulated    bool // run the process under emu.Emulate
+	sharedPipes bool // Table 2's mutual-trust pipes
 }
 
 func targets() []target {
@@ -36,7 +37,9 @@ func targets() []target {
 	for _, p := range machine.Personalities() {
 		ts = append(ts, target{name: p.String(), pers: p})
 	}
-	return append(ts, target{name: "Xok/ExOS emulated", pers: machine.XokExOS, emulated: true})
+	return append(ts,
+		target{name: "Xok/ExOS emulated", pers: machine.XokExOS, emulated: true},
+		target{name: "Xok/ExOS shared-memory pipes", pers: machine.XokExOS, sharedPipes: true})
 }
 
 // opState carries descriptors between steps.
@@ -162,7 +165,8 @@ func steps() []opStep {
 // each step's charge.
 func run(t *testing.T, tg target, ss []opStep) []charge {
 	t.Helper()
-	m, err := machine.New(machine.Config{Personality: tg.pers, DiskBlocks: 16384, MemPages: 2048})
+	m, err := machine.New(machine.Config{Personality: tg.pers, SharedMemPipes: tg.sharedPipes,
+		DiskBlocks: 16384, MemPages: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +214,10 @@ func run(t *testing.T, tg target, ss []opStep) []charge {
 	return out
 }
 
-// TestProcOpCharges pins, per personality and under the binary
-// emulator, what every unix.Proc operation costs: virtual cycles,
-// kernel crossings, shared-state protection calls and bytes copied.
-// The personalities share one implementation of the UNIX semantics and
+// TestProcOpCharges pins, per personality, under the binary emulator
+// and with ExOS's shared-memory pipes, what every unix.Proc operation
+// costs: virtual cycles, kernel crossings, shared-state protection
+// calls and bytes copied. The personalities share one implementation of the UNIX semantics and
 // differ only in cost, so a change to that shared code must leave every
 // number here unchanged. Regenerate with -record only for a deliberate
 // recalibration.
@@ -257,54 +261,55 @@ func TestProcOpCharges(t *testing.T) {
 }
 
 // nTargets is the column count of pinned: the five personalities in
-// machine.Personalities order, then Xok/ExOS under emu.Emulate.
-const nTargets = 6
+// machine.Personalities order, then Xok/ExOS under emu.Emulate, then
+// Xok/ExOS with shared-memory pipes.
+const nTargets = 7
 
 var pinned = []struct {
 	step    string
 	charges [nTargets]charge
 }{
-	{"getpid", [nTargets]charge{{100, 0, 0, 0}, {100, 0, 0, 0}, {260, 1, 0, 0}, {260, 1, 0, 0}, {260, 1, 0, 0}, {112, 0, 0, 0}}},
-	{"mkdir", [nTargets]charge{{3843, 2, 0, 0}, {450, 0, 0, 0}, {4331669, 4, 0, 0}, {4331669, 4, 0, 0}, {1270, 1, 0, 0}, {3855, 2, 0, 0}}},
-	{"create", [nTargets]charge{{4128, 4, 3, 0}, {1480, 0, 0, 0}, {3986216, 3, 0, 0}, {3986216, 3, 0, 0}, {2300, 1, 0, 0}, {4140, 4, 3, 0}}},
-	{"write", [nTargets]charge{{14257, 6, 0, 5120}, {8713, 0, 0, 5120}, {9083, 1, 0, 5120}, {9083, 1, 0, 5120}, {9083, 1, 0, 5120}, {14269, 6, 0, 5120}}},
-	{"seek-set", [nTargets]charge{{80, 0, 0, 0}, {80, 0, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {92, 0, 0, 0}}},
-	{"read", [nTargets]charge{{7006, 0, 0, 4096}, {7006, 0, 0, 4096}, {7376, 1, 0, 4096}, {7376, 1, 0, 4096}, {7376, 1, 0, 4096}, {7018, 0, 0, 4096}}},
-	{"seek-cur", [nTargets]charge{{80, 0, 0, 0}, {80, 0, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {92, 0, 0, 0}}},
-	{"seek-end", [nTargets]charge{{80, 0, 0, 0}, {80, 0, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {92, 0, 0, 0}}},
-	{"seek-negative", [nTargets]charge{{80, 0, 0, 0}, {80, 0, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {92, 0, 0, 0}}},
-	{"seek-bad-whence", [nTargets]charge{{80, 0, 0, 0}, {80, 0, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {92, 0, 0, 0}}},
-	{"close", [nTargets]charge{{480, 3, 3, 0}, {0, 0, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {492, 3, 3, 0}}},
-	{"create-existing", [nTargets]charge{{8124, 6, 3, 0}, {960, 0, 0, 0}, {7969184, 5, 0, 0}, {7969184, 5, 0, 0}, {1780, 1, 0, 0}, {8136, 6, 3, 0}}},
-	{"read-truncated", [nTargets]charge{{160, 0, 0, 0}, {160, 0, 0, 0}, {530, 1, 0, 0}, {530, 1, 0, 0}, {530, 1, 0, 0}, {172, 0, 0, 0}}},
-	{"close-again", [nTargets]charge{{480, 3, 3, 0}, {0, 0, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {492, 3, 3, 0}}},
-	{"open", [nTargets]charge{{590, 3, 3, 0}, {110, 0, 0, 0}, {730, 1, 0, 0}, {730, 1, 0, 0}, {730, 1, 0, 0}, {602, 3, 3, 0}}},
-	{"open-dir", [nTargets]charge{{450, 0, 0, 0}, {450, 0, 0, 0}, {1070, 1, 0, 0}, {1070, 1, 0, 0}, {1070, 1, 0, 0}, {462, 0, 0, 0}}},
-	{"open-missing", [nTargets]charge{{450, 0, 0, 0}, {450, 0, 0, 0}, {1070, 1, 0, 0}, {1070, 1, 0, 0}, {1070, 1, 0, 0}, {462, 0, 0, 0}}},
-	{"close-open", [nTargets]charge{{480, 3, 3, 0}, {0, 0, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {492, 3, 3, 0}}},
-	{"bad-fd-read", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {12, 0, 0, 0}}},
-	{"bad-fd-write", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {12, 0, 0, 0}}},
-	{"bad-fd-seek", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {12, 0, 0, 0}}},
-	{"bad-fd-close", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {12, 0, 0, 0}}},
-	{"stat", [nTargets]charge{{110, 0, 0, 0}, {110, 0, 0, 0}, {630, 1, 0, 0}, {630, 1, 0, 0}, {630, 1, 0, 0}, {122, 0, 0, 0}}},
-	{"readdir", [nTargets]charge{{632, 0, 0, 0}, {632, 0, 0, 0}, {1252, 1, 0, 0}, {1252, 1, 0, 0}, {1252, 1, 0, 0}, {644, 0, 0, 0}}},
-	{"chmod", [nTargets]charge{{2350, 1, 0, 0}, {110, 0, 0, 0}, {3984532, 3, 0, 0}, {3984532, 3, 0, 0}, {830, 1, 0, 0}, {2362, 1, 0, 0}}},
-	{"symlink", [nTargets]charge{{11000, 6, 0, 4}, {926, 0, 0, 4}, {7113841, 5, 0, 4}, {7113841, 5, 0, 4}, {1746, 1, 0, 4}, {11012, 6, 0, 4}}},
-	{"rename", [nTargets]charge{{3880, 1, 0, 0}, {1480, 0, 0, 0}, {3986002, 3, 0, 0}, {3986002, 3, 0, 0}, {2300, 1, 0, 0}, {3892, 1, 0, 0}}},
-	{"rename-cross-mount", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {1720, 1, 0, 0}, {1720, 1, 0, 0}, {1720, 1, 0, 0}, {12, 0, 0, 0}}},
-	{"unlink", [nTargets]charge{{2438, 1, 0, 0}, {110, 0, 0, 0}, {3984532, 3, 0, 0}, {3984532, 3, 0, 0}, {830, 1, 0, 0}, {2450, 1, 0, 0}}},
-	{"unlink-link", [nTargets]charge{{4626, 2, 0, 0}, {110, 0, 0, 0}, {3971231, 3, 0, 0}, {3971231, 3, 0, 0}, {830, 1, 0, 0}, {4638, 2, 0, 0}}},
-	{"rmdir", [nTargets]charge{{2342, 1, 0, 0}, {110, 0, 0, 0}, {3971446, 3, 0, 0}, {3971446, 3, 0, 0}, {830, 1, 0, 0}, {2354, 1, 0, 0}}},
-	{"sync", [nTargets]charge{{1213232, 1, 0, 0}, {1211156, 1, 0, 0}, {420, 1, 0, 0}, {420, 1, 0, 0}, {1123505, 2, 0, 0}, {1213244, 1, 0, 0}}},
-	{"pipe", [nTargets]charge{{1376, 7, 6, 0}, {416, 1, 0, 0}, {1020, 1, 0, 0}, {1020, 1, 0, 0}, {1020, 1, 0, 0}, {1388, 7, 6, 0}}},
-	{"pipe-write", [nTargets]charge{{966, 1, 0, 100}, {966, 1, 0, 100}, {556, 1, 0, 100}, {556, 1, 0, 100}, {556, 1, 0, 100}, {978, 1, 0, 100}}},
-	{"pipe-read", [nTargets]charge{{3126, 2, 0, 100}, {3126, 2, 0, 100}, {556, 1, 0, 100}, {556, 1, 0, 100}, {556, 1, 0, 100}, {3138, 2, 0, 100}}},
-	{"read-write-end", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {12, 0, 0, 0}}},
-	{"write-read-end", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {12, 0, 0, 0}}},
-	{"seek-pipe", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {12, 0, 0, 0}}},
-	{"close-read-end", [nTargets]charge{{480, 3, 3, 0}, {0, 0, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {492, 3, 3, 0}}},
-	{"epipe", [nTargets]charge{{120, 0, 0, 0}, {120, 0, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {132, 0, 0, 0}}},
-	{"close-write-end", [nTargets]charge{{480, 3, 3, 0}, {0, 0, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {492, 3, 3, 0}}},
-	{"fork-wait", [nTargets]charge{{1633924, 12, 3, 0}, {1633444, 9, 0, 0}, {562500, 3, 0, 0}, {562500, 3, 0, 0}, {562500, 3, 0, 0}, {1633948, 12, 3, 0}}},
-	{"fork-pipe-eof", [nTargets]charge{{1848838, 56, 18, 98304}, {1845958, 38, 0, 98304}, {752530, 20, 0, 98304}, {752530, 20, 0, 98304}, {752530, 20, 0, 98304}, {1849066, 56, 18, 98304}}},
+	{"getpid", [nTargets]charge{{100, 0, 0, 0}, {100, 0, 0, 0}, {260, 1, 0, 0}, {260, 1, 0, 0}, {260, 1, 0, 0}, {112, 0, 0, 0}, {100, 0, 0, 0}}},
+	{"mkdir", [nTargets]charge{{3843, 2, 0, 0}, {450, 0, 0, 0}, {4331669, 4, 0, 0}, {4331669, 4, 0, 0}, {1270, 1, 0, 0}, {3855, 2, 0, 0}, {3843, 2, 0, 0}}},
+	{"create", [nTargets]charge{{4128, 4, 3, 0}, {1480, 0, 0, 0}, {3986216, 3, 0, 0}, {3986216, 3, 0, 0}, {2300, 1, 0, 0}, {4140, 4, 3, 0}, {4128, 4, 3, 0}}},
+	{"write", [nTargets]charge{{14257, 6, 0, 5120}, {8713, 0, 0, 5120}, {9083, 1, 0, 5120}, {9083, 1, 0, 5120}, {9083, 1, 0, 5120}, {14269, 6, 0, 5120}, {14257, 6, 0, 5120}}},
+	{"seek-set", [nTargets]charge{{80, 0, 0, 0}, {80, 0, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {92, 0, 0, 0}, {80, 0, 0, 0}}},
+	{"read", [nTargets]charge{{7006, 0, 0, 4096}, {7006, 0, 0, 4096}, {7376, 1, 0, 4096}, {7376, 1, 0, 4096}, {7376, 1, 0, 4096}, {7018, 0, 0, 4096}, {7006, 0, 0, 4096}}},
+	{"seek-cur", [nTargets]charge{{80, 0, 0, 0}, {80, 0, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {92, 0, 0, 0}, {80, 0, 0, 0}}},
+	{"seek-end", [nTargets]charge{{80, 0, 0, 0}, {80, 0, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {92, 0, 0, 0}, {80, 0, 0, 0}}},
+	{"seek-negative", [nTargets]charge{{80, 0, 0, 0}, {80, 0, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {92, 0, 0, 0}, {80, 0, 0, 0}}},
+	{"seek-bad-whence", [nTargets]charge{{80, 0, 0, 0}, {80, 0, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {300, 1, 0, 0}, {92, 0, 0, 0}, {80, 0, 0, 0}}},
+	{"close", [nTargets]charge{{480, 3, 3, 0}, {0, 0, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {492, 3, 3, 0}, {480, 3, 3, 0}}},
+	{"create-existing", [nTargets]charge{{8124, 6, 3, 0}, {960, 0, 0, 0}, {7969184, 5, 0, 0}, {7969184, 5, 0, 0}, {1780, 1, 0, 0}, {8136, 6, 3, 0}, {8124, 6, 3, 0}}},
+	{"read-truncated", [nTargets]charge{{160, 0, 0, 0}, {160, 0, 0, 0}, {530, 1, 0, 0}, {530, 1, 0, 0}, {530, 1, 0, 0}, {172, 0, 0, 0}, {160, 0, 0, 0}}},
+	{"close-again", [nTargets]charge{{480, 3, 3, 0}, {0, 0, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {492, 3, 3, 0}, {480, 3, 3, 0}}},
+	{"open", [nTargets]charge{{590, 3, 3, 0}, {110, 0, 0, 0}, {730, 1, 0, 0}, {730, 1, 0, 0}, {730, 1, 0, 0}, {602, 3, 3, 0}, {590, 3, 3, 0}}},
+	{"open-dir", [nTargets]charge{{450, 0, 0, 0}, {450, 0, 0, 0}, {1070, 1, 0, 0}, {1070, 1, 0, 0}, {1070, 1, 0, 0}, {462, 0, 0, 0}, {450, 0, 0, 0}}},
+	{"open-missing", [nTargets]charge{{450, 0, 0, 0}, {450, 0, 0, 0}, {1070, 1, 0, 0}, {1070, 1, 0, 0}, {1070, 1, 0, 0}, {462, 0, 0, 0}, {450, 0, 0, 0}}},
+	{"close-open", [nTargets]charge{{480, 3, 3, 0}, {0, 0, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {492, 3, 3, 0}, {480, 3, 3, 0}}},
+	{"bad-fd-read", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {12, 0, 0, 0}, {0, 0, 0, 0}}},
+	{"bad-fd-write", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {12, 0, 0, 0}, {0, 0, 0, 0}}},
+	{"bad-fd-seek", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {12, 0, 0, 0}, {0, 0, 0, 0}}},
+	{"bad-fd-close", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {12, 0, 0, 0}, {0, 0, 0, 0}}},
+	{"stat", [nTargets]charge{{110, 0, 0, 0}, {110, 0, 0, 0}, {630, 1, 0, 0}, {630, 1, 0, 0}, {630, 1, 0, 0}, {122, 0, 0, 0}, {110, 0, 0, 0}}},
+	{"readdir", [nTargets]charge{{632, 0, 0, 0}, {632, 0, 0, 0}, {1252, 1, 0, 0}, {1252, 1, 0, 0}, {1252, 1, 0, 0}, {644, 0, 0, 0}, {632, 0, 0, 0}}},
+	{"chmod", [nTargets]charge{{2350, 1, 0, 0}, {110, 0, 0, 0}, {3984532, 3, 0, 0}, {3984532, 3, 0, 0}, {830, 1, 0, 0}, {2362, 1, 0, 0}, {2350, 1, 0, 0}}},
+	{"symlink", [nTargets]charge{{11000, 6, 0, 4}, {926, 0, 0, 4}, {7113841, 5, 0, 4}, {7113841, 5, 0, 4}, {1746, 1, 0, 4}, {11012, 6, 0, 4}, {11000, 6, 0, 4}}},
+	{"rename", [nTargets]charge{{3880, 1, 0, 0}, {1480, 0, 0, 0}, {3986002, 3, 0, 0}, {3986002, 3, 0, 0}, {2300, 1, 0, 0}, {3892, 1, 0, 0}, {3880, 1, 0, 0}}},
+	{"rename-cross-mount", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {1720, 1, 0, 0}, {1720, 1, 0, 0}, {1720, 1, 0, 0}, {12, 0, 0, 0}, {0, 0, 0, 0}}},
+	{"unlink", [nTargets]charge{{2438, 1, 0, 0}, {110, 0, 0, 0}, {3984532, 3, 0, 0}, {3984532, 3, 0, 0}, {830, 1, 0, 0}, {2450, 1, 0, 0}, {2438, 1, 0, 0}}},
+	{"unlink-link", [nTargets]charge{{4626, 2, 0, 0}, {110, 0, 0, 0}, {3971231, 3, 0, 0}, {3971231, 3, 0, 0}, {830, 1, 0, 0}, {4638, 2, 0, 0}, {4626, 2, 0, 0}}},
+	{"rmdir", [nTargets]charge{{2342, 1, 0, 0}, {110, 0, 0, 0}, {3971446, 3, 0, 0}, {3971446, 3, 0, 0}, {830, 1, 0, 0}, {2354, 1, 0, 0}, {2342, 1, 0, 0}}},
+	{"sync", [nTargets]charge{{1213232, 1, 0, 0}, {1211156, 1, 0, 0}, {420, 1, 0, 0}, {420, 1, 0, 0}, {1123505, 2, 0, 0}, {1213244, 1, 0, 0}, {1213232, 1, 0, 0}}},
+	{"pipe", [nTargets]charge{{1376, 7, 6, 0}, {416, 1, 0, 0}, {1020, 1, 0, 0}, {1020, 1, 0, 0}, {1020, 1, 0, 0}, {1388, 7, 6, 0}, {1146, 6, 6, 0}}},
+	{"pipe-write", [nTargets]charge{{966, 1, 0, 100}, {966, 1, 0, 100}, {556, 1, 0, 100}, {556, 1, 0, 100}, {556, 1, 0, 100}, {978, 1, 0, 100}, {306, 0, 0, 100}}},
+	{"pipe-read", [nTargets]charge{{3126, 2, 0, 100}, {3126, 2, 0, 100}, {556, 1, 0, 100}, {556, 1, 0, 100}, {556, 1, 0, 100}, {3138, 2, 0, 100}, {306, 0, 0, 100}}},
+	{"read-write-end", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {12, 0, 0, 0}, {0, 0, 0, 0}}},
+	{"write-read-end", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {12, 0, 0, 0}, {0, 0, 0, 0}}},
+	{"seek-pipe", [nTargets]charge{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {12, 0, 0, 0}, {0, 0, 0, 0}}},
+	{"close-read-end", [nTargets]charge{{480, 3, 3, 0}, {0, 0, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {492, 3, 3, 0}, {480, 3, 3, 0}}},
+	{"epipe", [nTargets]charge{{120, 0, 0, 0}, {120, 0, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {370, 1, 0, 0}, {132, 0, 0, 0}, {120, 0, 0, 0}}},
+	{"close-write-end", [nTargets]charge{{480, 3, 3, 0}, {0, 0, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {320, 1, 0, 0}, {492, 3, 3, 0}, {480, 3, 3, 0}}},
+	{"fork-wait", [nTargets]charge{{1633924, 12, 3, 0}, {1633444, 9, 0, 0}, {562500, 3, 0, 0}, {562500, 3, 0, 0}, {562500, 3, 0, 0}, {1633948, 12, 3, 0}, {1633924, 12, 3, 0}}},
+	{"fork-pipe-eof", [nTargets]charge{{1848838, 56, 18, 98304}, {1845958, 38, 0, 98304}, {752530, 20, 0, 98304}, {752530, 20, 0, 98304}, {752530, 20, 0, 98304}, {1849066, 56, 18, 98304}, {1810420, 27, 18, 98304}}},
 }
