@@ -41,10 +41,10 @@ func (s *System) Unmount(prefix string) {
 	}
 }
 
-// resolve maps a path to the owning file system and the path within
+// Resolve maps a path to the owning file system and the path within
 // it. The root file system backs everything not covered by a mount.
-func (s *System) resolve(path string) (*cffs.FS, string) {
-	for _, m := range s.mounts {
+func (o *libOS) Resolve(path string) (*cffs.FS, string) {
+	for _, m := range o.mounts {
 		if path == m.prefix {
 			return m.fs, "/"
 		}
@@ -52,5 +52,5 @@ func (s *System) resolve(path string) (*cffs.FS, string) {
 			return m.fs, path[len(m.prefix):]
 		}
 	}
-	return s.FS, path
+	return o.FS, path
 }

@@ -1,7 +1,6 @@
 package exos
 
 import (
-	"xok/internal/cffs"
 	"xok/internal/kernel"
 	"xok/internal/sim"
 	"xok/internal/unix"
@@ -14,9 +13,6 @@ type Proc struct {
 	*unix.Process
 	s *System
 }
-
-// Sys returns the system this process runs on.
-func (p *Proc) Sys() *System { return p.s }
 
 // libOS is ExOS's half of the UNIX process layer (unix.OS): library
 // calls instead of traps, shared-state protection, the mount table,
@@ -45,11 +41,6 @@ func (o *libOS) SharedWrite(e *kernel.Env) {
 		o.K.Stats.Add(sim.CtrProtCalls, 3)
 		e.Syscalls(3)
 	}
-}
-
-// Resolve maps a path through the mount table (see Mount).
-func (o *libOS) Resolve(path string) (*cffs.FS, string) {
-	return (*System)(o).resolve(path)
 }
 
 // NewPipe builds a pipe at the configured trust level.
